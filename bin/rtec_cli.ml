@@ -204,7 +204,7 @@ let load_knowledge = function
 let print_provenance_stats fmt =
   let s = Rtec.Derivation.stats () in
   Format.fprintf fmt
-    "%% provenance: %d records (%d evicted), %d/%d windows sampled, %d KiB retained@."
+    "%% provenance: %d records (%d evicted), %d/%d windows sampled, %d KiB retained@\n"
     s.Rtec.Derivation.records s.Rtec.Derivation.evicted s.Rtec.Derivation.windows_sampled
     (s.Rtec.Derivation.windows_sampled + s.Rtec.Derivation.windows_skipped)
     (s.Rtec.Derivation.retained_words * (Sys.word_size / 8) / 1024)
@@ -661,7 +661,11 @@ let serve_cmd =
     let stop_admin () = Option.iter Telemetry.Admin.stop admin in
     (* Run [f sink_fmt] against every live sink, detaching a sink whose
        write fails instead of propagating — one gone client must not
-       take down the session for the others. *)
+       take down the session for the others. The flush below is the only
+       one per emission: [f]'s lines end in [@\n], not [@.], so a
+       snapshot leaves in as few writes as the channel buffer allows
+       rather than one per line (a closed-loop client would otherwise
+       wait out a delayed ACK on every snapshot). *)
     let emit_to sinks f =
       Telemetry.Metrics.time_us h_stage_emit (fun () ->
           List.iter
@@ -683,7 +687,7 @@ let serve_cmd =
     let emit_intervals fmt (r : Runtime.Service.result) =
       List.iter
         (fun ((f, v), spans) ->
-          Format.fprintf fmt "holdsFor(%a = %a, %a).@." Rtec.Term.pp f Rtec.Term.pp v
+          Format.fprintf fmt "holdsFor(%a = %a, %a).@\n" Rtec.Term.pp f Rtec.Term.pp v
             Rtec.Interval.pp spans)
         (Lazy.force r.intervals)
     in
@@ -717,7 +721,7 @@ let serve_cmd =
           if emit = `Ticks then
             emit_to sinks (fun fmt ->
                 Format.fprintf fmt
-                  "%% tick %d: %d queries, %d entity shard(s), watermark %s@." now
+                  "%% tick %d: %d queries, %d entity shard(s), watermark %s@\n" now
                   r.stats.queries r.stats.buckets
                   (match r.watermark with None -> "-" | Some w -> string_of_int w);
                 emit_intervals fmt r)
@@ -746,11 +750,11 @@ let serve_cmd =
         let s = r.stats in
         emit_to sinks (fun fmt ->
             Format.fprintf fmt
-              "%% %d queries, %d window-events, %d shard(s) on %d domain(s)@." s.queries
+              "%% %d queries, %d window-events, %d shard(s) on %d domain(s)@\n" s.queries
               s.events_processed s.buckets s.jobs;
             Format.fprintf fmt
               "%% %d appends, %d late events (%d dropped), %d revisions, %d active / %d \
-               evicted entities@."
+               evicted entities@\n"
               s.appends s.late_events s.dropped_late s.revisions s.entities_active
               s.entities_evicted;
             if Option.is_some flags.provenance then print_provenance_stats fmt;

@@ -1,44 +1,17 @@
 #!/bin/sh
-# Minimal CI: build, tier-1 tests, a few-second benchmark-harness smoke run
-# (see bench/dune; it recognises the fleet workload on two worker
-# domains — exercising the sharded Runtime, its pool and the per-domain
-# telemetry merge — and writes the merged metrics snapshot next to the
-# timings, uploaded as a workflow artifact; the smoke subset also covers
-# the similarity kernels — rectangular assignment, warm/cold
-# event-description distance and the parallel similarity-sweep table —
-# so a regression in the fig2a/2b hot path fails CI), and an overhead gate:
-# the same smoke subset re-run with telemetry disabled must stay within
-# 2% of the committed baseline, so instrumentation can never silently
-# tax the disabled path. The gate uses min-of-N estimates (--repeat;
-# scheduler/frequency noise is strictly additive, minima converge on
-# the true cost) and normalises the instrumented rows by probe-free
-# control benchmarks, cancelling whole-machine drift between the
-# baseline recording and the CI run. Refreshing the committed baseline
-# is a two-step manual recipe: the full sweep records the trajectory
-# rows and counters (`dune exec bench/main.exe -- --repeat 3 --json
-# BENCH_adg.json --metrics /tmp/m.json`), then a few smoke passes
-# re-measure the gated rows under the exact conditions CI runs them
-# (`dune exec bench/main.exe -- --smoke --jobs 2 --repeat 4 --json
-# BENCH_adg.json --merge`, repeated; rows measured by both keep the
-# minimum) — sub-microsecond kernels read 15-20% slower when measured
-# in-process with the heavy fig2c workloads, and each process adds its
-# own placement noise, either of which would poison the gate's drift
-# normalisation.
-#
-# The smoke run also carries the allocation/compilation gate (--gate in
-# bench/dune): single-shot GC gauges per recognition workload and the
-# compiled-cache miss rate must stay within fixed bounds of the
-# committed baseline (minor words <= 1.25x, miss rate <= baseline +
-# 0.02) — iteration-exact measures, so no drift normalisation applies —
-# plus two provenance properties with absolute bounds: the recorder-on
-# row must price under 1.5x the recorder-off row, and a recorder-on
-# fleet run must show a nonzero compiled-cache hit delta (a zero means
-# derivation recording forced the interpreted fallback again).
+# Minimal CI: build; tier-1 tests, which also hold the exact allocation,
+# provenance-cost, compiled-coverage and codec fast-path bounds; the
+# explain and serve smoke runs below; and one brief run of each benchmark
+# workload (perfbench/README.md). The benchmark runs judge no timing,
+# only correctness: they drive the built `rtec_cli serve` over loopback
+# and check its output against the batch oracle, the planted late-drop
+# count and the reproduction text, and CI fails unless each run's last
+# line reports "correct": true. A failed check leaves its evidence in
+# .perfbench/, which the workflow uploads.
 set -eu
 
 dune build
 dune runtest
-dune build @bench-smoke
 
 # Explain-pipeline smoke: generate the maritime dataset, perturb one body
 # condition of the gold description, and check that the provenance diff
@@ -155,8 +128,11 @@ for c in client1 client2; do
     || { echo "serve smoke: two-client $c output diverges from recognise"; exit 1; }
 done
 
-# The multicore smoke row embeds the jobs value in its name, so the
-# drift gate only ever compares it against a baseline recorded with the
-# same fan-out; the sequential rows are checked as before.
-dune exec bench/main.exe -- --smoke --jobs 2 --repeat 8 --json /tmp/bench-smoke-plain.json \
-  --check BENCH_adg.json
+# Benchmark smoke: each workload once, briefly, with its oracles on.
+for w in maritime-ticks ais-late repro; do
+  result=$(bash perfbench/run.sh --workload "$w" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+  case "$result" in
+    *'"correct": true'*) ;;
+    *) echo "perfbench smoke: $w failed its output checks: $result"; exit 1 ;;
+  esac
+done

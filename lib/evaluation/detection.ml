@@ -15,10 +15,10 @@ let reported =
       { name = e.name; code = Option.value ~default:e.name e.code; indicator })
     Maritime.Gold.reported
 
-let detect ?(window = 3600) ?(step = 1800) ?(jobs = 1) ~event_description ~dataset () =
+let detect ?(window = 3600) ?(step = 1800) ~event_description ~dataset () =
   match
     Runtime.run
-      ~config:(Runtime.config ~window ~step ~jobs ())
+      ~config:(Runtime.config ~window ~step ())
       ~event_description ~knowledge:dataset.Maritime.Dataset.knowledge
       ~stream:dataset.Maritime.Dataset.stream ()
   with
@@ -27,8 +27,8 @@ let detect ?(window = 3600) ?(step = 1800) ?(jobs = 1) ~event_description ~datas
 
 let instances result activity = Rtec.Engine.find_fluent result activity.indicator
 
-let explain ?window ?step ?(jobs = 1) ~gold ~generated ~dataset () =
+let explain ?window ?step ~gold ~generated ~dataset () =
   Provenance.Diff.diff
-    ~config:(Runtime.config ?window ?step ~jobs ())
+    ~config:(Runtime.config ?window ?step ())
     ~gold ~generated ~knowledge:dataset.Maritime.Dataset.knowledge
     ~stream:dataset.Maritime.Dataset.stream ()

@@ -10,7 +10,6 @@ val reported : activity list
 val detect :
   ?window:int ->
   ?step:int ->
-  ?jobs:int ->
   event_description:Rtec.Ast.t ->
   dataset:Maritime.Dataset.t ->
   unit ->
@@ -24,7 +23,6 @@ val instances :
 val explain :
   ?window:int ->
   ?step:int ->
-  ?jobs:int ->
   gold:Rtec.Ast.t ->
   generated:Rtec.Ast.t ->
   dataset:Maritime.Dataset.t ->

@@ -38,25 +38,20 @@ let similarity_of_definition (session : Adg.Session.t) name =
     0.
 
 (* The per-activity similarity sweep — the inner loop of the LLM x
-   activity x scheme table behind Figures 2a/2b. Activities are
-   independent, so with [jobs > 1] they fan out over worker domains
-   ([Runtime.map_domains]: per-domain telemetry accumulators, exact merge
-   at join); result order and values are identical to the sequential
-   run. *)
-let similarity_table ?(jobs = 1) session =
-  let entries = Array.of_list Maritime.Gold.entries in
-  let row (e : Maritime.Gold.entry) = (e.name, similarity_of_definition session e.name) in
-  if jobs <= 1 then Array.to_list (Array.map row entries)
-  else Array.to_list (Runtime.map_domains ~jobs (fun _ e -> row e) entries)
+   activity x scheme table behind Figures 2a/2b. *)
+let similarity_table session =
+  List.map
+    (fun (e : Maritime.Gold.entry) -> (e.name, similarity_of_definition session e.name))
+    Maritime.Gold.entries
 
 let average values =
   if values = [] then 0.
   else List.fold_left (fun acc (_, v) -> acc +. v) 0. values /. float_of_int (List.length values)
 
-let generate ?jobs ~model ~scheme () =
+let generate ~model ~scheme () =
   let profile = Adg.Profiles.find ~model ~scheme in
   let session = Adg.Session.run (Adg.Profiles.backend profile) in
-  let per_activity = similarity_table ?jobs session in
+  let per_activity = similarity_table session in
   {
     session;
     label = model ^ Adg.Prompt.scheme_symbol scheme;
@@ -64,10 +59,10 @@ let generate ?jobs ~model ~scheme () =
     average = average per_activity;
   }
 
-let generate_all ?jobs () =
+let generate_all () =
   List.concat_map
     (fun model ->
-      List.map (fun scheme -> generate ?jobs ~model ~scheme ())
+      List.map (fun scheme -> generate ~model ~scheme ())
         [ Adg.Prompt.Few_shot; Adg.Prompt.Chain_of_thought ])
     Adg.Profiles.models
 

@@ -8,18 +8,13 @@ type generation = {
   average : float;  (** the 'all' bar: mean over all definitions *)
 }
 
-val generate : ?jobs:int -> model:string -> scheme:Adg.Prompt.scheme -> unit -> generation
-val generate_all : ?jobs:int -> unit -> generation list
-(** All 12 (model, scheme) combinations. [jobs] fans each generation's
-    per-activity similarity sweep out over that many worker domains
-    (default 1, sequential); results are identical either way. *)
+val generate : model:string -> scheme:Adg.Prompt.scheme -> unit -> generation
+val generate_all : unit -> generation list
+(** All 12 (model, scheme) combinations. *)
 
-val similarity_table : ?jobs:int -> Adg.Session.t -> (string * float) list
-(** Similarity vs. gold for every gold entry — the per-activity sweep
-    behind {!generate}. With [jobs > 1] the activities are graded in
-    parallel on worker domains with domain-safe telemetry
-    ({!Runtime.map_domains}); the table (order and values) is identical
-    to the sequential run. *)
+val similarity_table : Adg.Session.t -> (string * float) list
+(** Similarity vs. gold for every gold entry, in gold-catalogue order —
+    the per-activity sweep behind {!generate}. *)
 
 val best_per_model : generation list -> generation list
 (** For each model, the scheme with the highest average similarity — the

@@ -6,7 +6,16 @@
    and results land in a pre-sized array, one slot per task, so no two
    domains ever write the same location. *)
 
-let map ~jobs ~around f items =
+(* The domain-safe telemetry bracket every parallel section of this repo
+   needs: worker metrics and derivation records accumulate locally and
+   merge into the process-wide state at join, spans land on the worker's
+   own track. It brackets the whole domain, not each task: accumulators
+   are per-domain, not per-shard. *)
+let bracket ~worker thunk =
+  Telemetry.Metrics.with_local (fun () ->
+      Telemetry.Trace.with_local ~tid:worker (fun () -> Rtec.Derivation.with_local thunk))
+
+let map ~jobs f items =
   let n = Array.length items in
   if n = 0 then [||]
   else begin
@@ -14,13 +23,11 @@ let map ~jobs ~around f items =
     let results = Array.make n None in
     let next = Atomic.make 0 in
     let worker w () =
-      (* [around] brackets the whole domain (telemetry fork/join), not
-         each task: accumulators are per-domain, not per-shard. *)
-      around ~worker:w (fun () ->
+      bracket ~worker:w (fun () ->
           let rec loop () =
             let i = Atomic.fetch_and_add next 1 in
             if i < n then begin
-              results.(i) <- Some (f ~worker:w i items.(i));
+              results.(i) <- Some (f i items.(i));
               loop ()
             end
           in

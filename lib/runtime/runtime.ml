@@ -1,19 +1,6 @@
 module Pool = Pool
 module Service = Service
 
-(* Domain fan-out with the telemetry bracketing every parallel section
-   of this repo uses: worker metrics accumulate locally and merge into
-   the process registry at join, spans land on the worker's track. The
-   evaluation pipeline's similarity sweep runs on this. *)
-let map_domains ~jobs f items =
-  Pool.map ~jobs
-    ~around:(fun ~worker thunk ->
-      Telemetry.Metrics.with_local (fun () ->
-          Telemetry.Trace.with_local ~tid:worker (fun () ->
-              Rtec.Derivation.with_local thunk)))
-    (fun ~worker:_ i item -> f i item)
-    items
-
 type config = {
   window : int option;
   step : int option;

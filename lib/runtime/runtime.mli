@@ -23,25 +23,17 @@ module Service = Service
     thin wrapper over a seeded, drained service. *)
 
 module Pool : sig
-  val map :
-    jobs:int ->
-    around:(worker:int -> (unit -> unit) -> unit) ->
-    (worker:int -> int -> 'a -> 'b) ->
-    'a array ->
-    'b array
-  (** [map ~jobs ~around f items] fans [items] out to at most [jobs]
-      domains (the calling domain works too). Tasks are pulled from a
-      shared atomic index; result order matches item order. [around]
-      brackets each whole worker domain, not each task. *)
+  val map : jobs:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
+  (** [map ~jobs f items] fans [items] out to at most [jobs] domains (the
+      calling domain works too). Tasks are pulled from a shared atomic
+      index; [f] receives the item index and the item, and the result
+      array preserves item order regardless of scheduling. Each worker
+      domain runs under {!Telemetry.Metrics.with_local},
+      {!Telemetry.Trace.with_local} (with the worker id as its track) and
+      {!Rtec.Derivation.with_local}, so counters and derivation records
+      produced by [f] merge exactly into the process-wide state at join
+      and spans land on the worker's own track. *)
 end
-
-val map_domains : jobs:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
-(** {!Pool.map} with the repo's standard domain-safe telemetry bracket:
-    each worker runs under {!Telemetry.Metrics.with_local} and
-    {!Telemetry.Trace.with_local}, so counters recorded by [f] merge
-    exactly into the process registry at join and spans land on the
-    worker's own track. [f] receives the item index and the item; the
-    result array preserves item order regardless of scheduling. *)
 
 type config = {
   window : int option;

@@ -563,10 +563,6 @@ let plan_revision svc b =
     Telemetry.Flight.record Revision ~a:b.id ~b:t ~c:(List.length replays) ();
     replays
 
-let around ~worker thunk =
-  Telemetry.Metrics.with_local (fun () ->
-      Telemetry.Trace.with_local ~tid:worker (fun () -> Rtec.Derivation.with_local thunk))
-
 let run_bucket svc ~w ~s ~lo (b, worklist) =
   match ensure_session svc ~w ~s b with
   | Result.Error e -> Result.Error e
@@ -729,8 +725,8 @@ let process_pass_inner svc ~w ~s ~now qs =
       svc.last_jobs <- (if use_pool then jobs else 1);
       let outcomes =
         if use_pool then
-          Pool.map ~jobs ~around
-            (fun ~worker:_ i ((b, _) as wb) ->
+          Pool.map ~jobs
+            (fun i ((b, _) as wb) ->
               Telemetry.Trace.with_span "runtime.shard"
                 ~args:
                   [

@@ -58,7 +58,10 @@ val config :
     compile = true; horizon = 0; ttl = None}]. *)
 
 type stats = {
-  queries : int;  (** query evaluations, including revision replays *)
+  queries : int;
+      (** query evaluations, excluding revision replays: a revision
+          restores a checkpoint, which rewinds this count to the value
+          it had there, so replayed queries are not counted twice. *)
   events_processed : int;
   buckets : int;  (** live entity shards *)
   jobs : int;  (** worker domains used by the latest pass *)

@@ -170,11 +170,6 @@ let pair_cache : float Pair_tbl.t = Pair_tbl.create 4096
    sweep (the full catalogue is ~10^5 distinct pairs). *)
 let max_cache_entries = 1 lsl 18
 
-let clear_cache () =
-  Mutex.lock cache_mutex;
-  Pair_tbl.reset pair_cache;
-  Mutex.unlock cache_mutex
-
 let cached_rule_distance ~strategy v1 v2 =
   let key =
     {

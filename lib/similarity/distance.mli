@@ -52,9 +52,6 @@ val event_description_prepared : ?strategy:strategy -> prepared -> prepared -> f
 val similarity_prepared : ?strategy:strategy -> prepared -> prepared -> float
 (** [1 - event_description_prepared]. *)
 
-val clear_cache : unit -> unit
-(** Drop every memoised rule-pair distance (benchmarking, memory). *)
-
 val event_description :
   ?strategy:strategy -> Rtec.Ast.rule list -> Rtec.Ast.rule list -> float
 (** Definition 4.14: distance between two event descriptions (as rule

@@ -4,12 +4,12 @@
     ticks, revisions, TTL evictions, client connect/drop, codec
     fallbacks — recorded unconditionally (recording is a mutex, four
     int stores and a clock read; sites fire per burst/tick/connection,
-    never per event, so the cost is held under the serve-throughput
-    bench's 5% gate). When the ring is full the oldest record is
-    overwritten whole, so a long-lived session always retains the most
-    recent window of activity, and {!arm} dumps it to a JSON file from
-    an [at_exit] hook — a session that dies on an uncaught exception
-    still leaves its final moments on disk.
+    never per event, so the cost stays a small share of a session, and
+    the benchmark's serve workloads always pay it). When the ring is
+    full the oldest record is overwritten whole, so a long-lived session
+    always retains the most recent window of activity, and {!arm} dumps
+    it to a JSON file from an [at_exit] hook — a session that dies on an
+    uncaught exception still leaves its final moments on disk.
 
     Records are flat integers in one preallocated array (no per-record
     allocation): a kind code, a monotonic timestamp relative to process

@@ -1,5 +1,5 @@
 (** A minimal JSON tree: enough to serialise traces and metric
-    snapshots, and to read them back (benchmark baselines, tests)
+    snapshots, and to read them back ([rtec_cli jsonlint], tests)
     without an external dependency. *)
 
 type t =

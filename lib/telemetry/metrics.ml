@@ -202,7 +202,7 @@ let with_local f =
 
 (* Timing bracket for stage-latency histograms: the clock is only read
    when collection is on, so a disabled probe stays one load and one
-   branch — the discipline the CI overhead gate enforces. *)
+   branch. *)
 let time_us h f =
   if not !on then f ()
   else begin

@@ -154,14 +154,11 @@ let prop_printed_stream_round_trips chunk =
 
 (* --- fixed cases the generator cannot be trusted to hit --- *)
 
+let read name =
+  Option.value ~default:0
+    (Telemetry.Metrics.find_counter (Telemetry.Metrics.snapshot ()) name)
+
 let test_fast_and_fallback_counters () =
-  let read name =
-    match
-      Telemetry.Metrics.find_counter (Telemetry.Metrics.snapshot ()) name
-    with
-    | Some n -> n
-    | None -> 0
-  in
   Telemetry.Metrics.enable ();
   Fun.protect ~finally:Telemetry.Metrics.disable (fun () ->
       let fast0 = read "io.codec.fast" and fb0 = read "io.codec.fallback" in
@@ -170,6 +167,20 @@ let test_fast_and_fallback_counters () =
       Alcotest.(check int) "no fallback" fb0 (read "io.codec.fallback");
       ignore (Io.items_of_string "happensAt(gap('v 1'), 5).\n");
       Alcotest.(check int) "quoted atom fell back" (fb0 + 1) (read "io.codec.fallback"))
+
+(* Everything the maritime generator prints stays on the fast path: one
+   codec decodes the whole default dataset stream (8,793 items) without a
+   single chunk falling back to the general parser. *)
+let test_dataset_stream_stays_fast () =
+  let d = Maritime.Dataset.generate () in
+  let src = Io.stream_to_string d.Maritime.Dataset.stream in
+  Telemetry.Metrics.enable ();
+  Fun.protect ~finally:Telemetry.Metrics.disable (fun () ->
+      let fast0 = read "io.codec.fast" and fb0 = read "io.codec.fallback" in
+      let items = Io.Codec.items_of_string (Io.Codec.create ()) src in
+      Alcotest.(check int) "no chunk fell back" fb0 (read "io.codec.fallback");
+      Alcotest.(check int) "every item decoded fast" (fast0 + List.length items)
+        (read "io.codec.fast"))
 
 let test_codec_subset_edges () =
   List.iter
@@ -213,6 +224,8 @@ let suite =
       prop_printed_stream_round_trips;
     Alcotest.test_case "fast/fallback counters split the two paths" `Quick
       test_fast_and_fallback_counters;
+    Alcotest.test_case "maritime dataset stream stays on the fast path" `Quick
+      test_dataset_stream_stays_fast;
     Alcotest.test_case "subset edge cases match the parser" `Quick test_codec_subset_edges;
     Alcotest.test_case "malformed lines error like the parser" `Quick
       test_bad_lines_error_like_parser;

@@ -174,6 +174,102 @@ let test_derivation_identical_maritime () =
   derivation_identical ~event_description:Maritime.Gold.event_description
     ~knowledge:d.Maritime.Dataset.knowledge ~stream:d.Maritime.Dataset.stream ()
 
+(* --- allocation and coverage bounds ---
+
+   Exact, count-based bounds on the compiled hot path, over one batch
+   [Runtime.run] per fixture at window 3600 / step 1800 and jobs 1, with
+   telemetry off, so the counts include whatever the disabled probes
+   allocate. [Gc.minor_words] counts every word the calling domain
+   allocates on the minor heap, so each count repeats to the word. The
+   pinned counts were measured with these exact calls; a run may
+   allocate at most 1.25x its pin — room for a workload tweak, none for
+   losing the compiled path's cut (interpreted maritime allocates 12.7x
+   the compiled run). *)
+
+let bounds_maritime =
+  lazy
+    (Maritime.Dataset.generate
+       ~config:{ Maritime.Dataset.seed = 99; replicas = 1; nominal = 1 }
+       ())
+
+(* [(name, run ~compile, compiled pin, interpreted pin)] *)
+let bound_fixtures () =
+  let d = Lazy.force bounds_maritime in
+  let fleet_stream, fleet_knowledge = Fleet.generate () in
+  let fleet_ed = Domain.event_description Fleet.domain in
+  let run ~event_description ~knowledge ~stream ~compile () =
+    ignore (runtime_run ~jobs:1 ~compile ~event_description ~knowledge ~stream ())
+  in
+  [
+    ( "maritime",
+      run ~event_description:Maritime.Gold.event_description
+        ~knowledge:d.Maritime.Dataset.knowledge ~stream:d.Maritime.Dataset.stream,
+      2_262_797.,
+      28_724_102. );
+    ( "fleet",
+      run ~event_description:fleet_ed ~knowledge:fleet_knowledge ~stream:fleet_stream,
+      300_962.,
+      583_345. );
+  ]
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let check_within_pin msg ~pin words =
+  if words > 1.25 *. pin then
+    Alcotest.failf "%s: %.0f minor words, over 1.25x the pinned %.0f" msg words pin
+
+let test_allocation_bounds () =
+  List.iter
+    (fun (name, run, compiled_pin, interpreted_pin) ->
+      check_within_pin (name ^ " compiled") ~pin:compiled_pin
+        (minor_words (run ~compile:true));
+      check_within_pin (name ^ " interpreted") ~pin:interpreted_pin
+        (minor_words (run ~compile:false)))
+    (bound_fixtures ())
+
+(* Always-on provenance must stay cheap on the compiled path: recording
+   derivations may at most add half again to a run's allocation
+   (measured: x1.07 maritime, x1.13 fleet). *)
+let test_recorder_allocation () =
+  List.iter
+    (fun (name, run, _, _) ->
+      let off = minor_words (run ~compile:true) in
+      Derivation.reset ();
+      Derivation.enable ();
+      let on =
+        Fun.protect
+          ~finally:(fun () ->
+            Derivation.disable ();
+            Derivation.reset ())
+          (fun () -> minor_words (run ~compile:true))
+      in
+      if on > 1.5 *. off then
+        Alcotest.failf "%s: recorder on allocates %.0f minor words, x%.2f of %.0f off" name
+          on (on /. off) off)
+    (bound_fixtures ())
+
+(* Rules that silently drop out of compilation pass every differential
+   test. Over both compiled fixtures at most 3.28% of transition-rule
+   evaluations may fall back to the interpreter (measured: 16 of 1,251). *)
+let test_compiled_miss_rate () =
+  Telemetry.Metrics.reset ();
+  Telemetry.Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.Metrics.disable ();
+      Telemetry.Metrics.reset ())
+    (fun () ->
+      List.iter (fun (_, run, _, _) -> run ~compile:true ()) (bound_fixtures ());
+      let snap = Telemetry.Metrics.snapshot () in
+      let count name = Option.value ~default:0 (Telemetry.Metrics.find_counter snap name) in
+      let miss = count "engine.compiled.miss" in
+      let total = count "engine.compiled.hit" + miss in
+      if total = 0 || float_of_int miss > 0.0328 *. float_of_int total then
+        Alcotest.failf "compiled miss rate %d / %d, over 0.0328" miss total)
+
 (* --- randomised streams --- *)
 
 (* A small description covering the compiled fragment's moving parts:
@@ -295,6 +391,10 @@ let suite =
       test_derivation_identical_fleet;
     Alcotest.test_case "derivation records identical (maritime)" `Slow
       test_derivation_identical_maritime;
+    Alcotest.test_case "allocation within 1.25x of pinned counts" `Slow
+      test_allocation_bounds;
+    Alcotest.test_case "recorder allocates under 1.5x" `Quick test_recorder_allocation;
+    Alcotest.test_case "compiled miss rate at most 0.0328" `Quick test_compiled_miss_rate;
     Alcotest.test_case "intern round-trip" `Quick test_intern_roundtrip;
     Alcotest.test_case "intern fvp ids" `Quick test_intern_fvp;
     Alcotest.test_case "intern id stability" `Quick test_intern_stability;

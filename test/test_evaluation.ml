@@ -48,25 +48,6 @@ let test_reported_activities () =
 
 let generations = lazy (Evaluation.Experiments.generate_all ())
 
-(* The parallel similarity sweep must reproduce the sequential table
-   exactly — same activities, same order, same floats — with telemetry
-   both off and on (worker counters merge through per-domain
-   accumulators). *)
-let test_parallel_similarity_table () =
-  let g = List.hd (Lazy.force generations) in
-  let seq = Evaluation.Experiments.similarity_table g.session in
-  let par = Evaluation.Experiments.similarity_table ~jobs:2 g.session in
-  Alcotest.(check (list (pair string (float 0.)))) "jobs 2 = sequential" seq par;
-  let with_metrics =
-    Fun.protect
-      ~finally:(fun () -> Telemetry.Metrics.disable ())
-      (fun () ->
-        Telemetry.Metrics.enable ();
-        Evaluation.Experiments.similarity_table ~jobs:3 g.session)
-  in
-  Alcotest.(check (list (pair string (float 0.))))
-    "jobs 3 with telemetry = sequential" seq with_metrics
-
 let test_figure_2a_shape () =
   let best = Evaluation.Experiments.best_per_model (Lazy.force generations) in
   Alcotest.(check int) "six models" 6 (List.length best);
@@ -187,8 +168,6 @@ let suite =
     Alcotest.test_case "identical results agree perfectly" `Quick test_compare_identical;
     Alcotest.test_case "reported activities" `Quick test_reported_activities;
     Alcotest.test_case "figure 2a reproduces the paper's shape" `Quick test_figure_2a_shape;
-    Alcotest.test_case "parallel similarity sweep is bit-identical" `Quick
-      test_parallel_similarity_table;
     Alcotest.test_case "figure 2b: corrections are minor" `Quick
       test_figure_2b_small_increase;
     Alcotest.test_case "figure 2c reproduces the paper's shape" `Quick test_figure_2c_shape;

@@ -322,7 +322,7 @@ let test_pool_multi_domain_telemetry () =
       let counter = Telemetry.Metrics.counter "test.pool.ticks" in
       let started = Atomic.make 0 in
       let results =
-        Runtime.map_domains ~jobs
+        Runtime.Pool.map ~jobs
           (fun _ n ->
             Atomic.incr started;
             while Atomic.get started < jobs do
