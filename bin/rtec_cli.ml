@@ -117,7 +117,6 @@ type recognition_flags = {
   window : int option;
   step : int option;
   jobs : int;
-  shards : int option;
   interpret : bool;
   provenance : string option;
 }
@@ -137,14 +136,11 @@ let recognition_flags =
   in
   let jobs_arg =
     Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Worker domains: shard the stream by entity and recognise the \
-                 shards in parallel. The result is bit-identical to --jobs 1.")
-  in
-  let shards_arg =
-    Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N"
-           ~doc:"Shard-count override (defaults to --jobs); more shards than \
-                 jobs gives finer load balancing. (serve shards dynamically, \
-                 one entity component per shard, and ignores this flag.)")
+           ~doc:"Worker domains, at most one per core. recognise also groups \
+                 the stream's entity components into N buckets (largest \
+                 first, each onto the least-loaded bucket) and evaluates them \
+                 in parallel; serve keeps one bucket per component. The \
+                 result is bit-identical to --jobs 1.")
   in
   let interpret_arg =
     Arg.(value & flag & info [ "interpret" ]
@@ -163,12 +159,11 @@ let recognition_flags =
                 $(b,sample:N:SEED). Recognition output is unchanged; recorder \
                 stats are printed as a comment line.")
   in
-  let mk knowledge window step jobs shards interpret provenance =
-    { knowledge; window; step; jobs; shards; interpret; provenance }
+  let mk knowledge window step jobs interpret provenance =
+    { knowledge; window; step; jobs; interpret; provenance }
   in
   Term.(
-    const mk $ kb_arg $ window_arg $ step_arg $ jobs_arg $ shards_arg $ interpret_arg
-    $ provenance_arg)
+    const mk $ kb_arg $ window_arg $ step_arg $ jobs_arg $ interpret_arg $ provenance_arg)
 
 let parse_provenance spec =
   match String.split_on_char ':' spec with
@@ -264,7 +259,7 @@ let recognise_cmd =
     in
     let config =
       Runtime.config ?window:flags.window ?step:flags.step ~jobs:flags.jobs
-        ?shards:flags.shards ~compile:(not flags.interpret) ()
+        ~compile:(not flags.interpret) ()
     in
     let outcome =
       match flags.provenance with

@@ -45,6 +45,14 @@ dune exec bin/rtec_cli.exe -- serve "$EXPLAIN_DIR/ds.ed" -k "$EXPLAIN_DIR/ds.kb"
 diff "$EXPLAIN_DIR/batch.out" "$EXPLAIN_DIR/serve.out" \
   || { echo "serve smoke: serve output diverges from recognise"; exit 1; }
 
+# Grouped batch smoke: `recognise -j 4` routes the stream into entity
+# components and evaluates four groups of them; its intervals must be
+# byte-identical to the sequential run above.
+dune exec bin/rtec_cli.exe -- recognise "$EXPLAIN_DIR/ds.ed" "$EXPLAIN_DIR/ds.stream" \
+  -k "$EXPLAIN_DIR/ds.kb" -w 3600 -s 1800 -j 4 | grep -v '^%' > "$EXPLAIN_DIR/batch4.out"
+diff "$EXPLAIN_DIR/batch.out" "$EXPLAIN_DIR/batch4.out" \
+  || { echo "recognise smoke: -j 4 output diverges from -j 1"; exit 1; }
+
 # Multi-client serve smoke: two concurrent TCP clients each send half the
 # maritime stream into one `serve --listen --clients 2` session, and every
 # client's final emission must be byte-identical to single-client

@@ -337,7 +337,4 @@ let knowledge_of_string = Knowledge.of_source
 
 let write_stream oc stream = output_string oc (stream_to_string stream)
 
-let read_all ic = really_input_string ic (in_channel_length ic)
-let read_stream ic = stream_of_string (read_all ic)
 let write_knowledge oc kb = output_string oc (knowledge_to_string kb)
-let read_knowledge ic = knowledge_of_string (read_all ic)

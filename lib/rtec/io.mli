@@ -40,6 +40,4 @@ val knowledge_to_string : Knowledge.t -> string
 val knowledge_of_string : string -> Knowledge.t
 
 val write_stream : out_channel -> Stream.t -> unit
-val read_stream : in_channel -> Stream.t
 val write_knowledge : out_channel -> Knowledge.t -> unit
-val read_knowledge : in_channel -> Knowledge.t

@@ -27,9 +27,9 @@ type packed = {
 
    Concurrency: forcing mutates [repr], so a stream with pending tails
    must be owned by a single domain until packed. The runtime respects
-   this by construction — partition shards and service buckets are each
-   touched by exactly one worker per pass, with happens-before at the
-   pool join — and a packed stream is immutable and freely shared. *)
+   this by construction — service buckets are each touched by exactly
+   one worker per pass, with happens-before at the pool join — and a
+   packed stream is immutable and freely shared. *)
 type t = {
   size : int;
   extent : int * int;
@@ -255,152 +255,6 @@ let indexed s ~functor_ =
 let input_fluents s = s.input_fluents
 let indicators s = List.map fst (M.bindings (force s).by_indicator)
 
-(* --- entity sharding ---
-
-   Recognition is entity-decomposable: two events can only interact
-   through a rule when their entity arguments are joined, so the stream
-   splits along the connected components of the "shares an entity"
-   relation. An argument counts as an entity when it appears as the
-   *first* argument of some event or input fluent of the stream — the
-   RTEC convention puts the entity keys first (velocity(Vessel, ...),
-   proximity(Vessel1, Vessel2)), while attribute arguments (areas,
-   stops, numeric readings) never lead. The classification is
-   data-driven, so pairwise fluents union both entities (each also leads
-   its own events) and shared locations never glue unrelated entities
-   together. *)
-
-module TermTbl = Hashtbl.Make (struct
-  type t = Term.t
-
-  let equal = Term.equal
-  let hash = Term.hash
-end)
-
-let first_argument term =
-  match term with
-  | Term.Compound (_, arg :: _) -> (
-    match arg with Term.Int _ | Term.Real _ -> None | _ -> Some arg)
-  | _ -> None
-
-(* The entity key set, in first-appearance order (events first, then
-   input fluents). *)
-let entities s =
-  let seen = TermTbl.create 64 in
-  let order = ref [] in
-  let note term =
-    Option.iter
-      (fun e ->
-        if not (TermTbl.mem seen e) then begin
-          TermTbl.replace seen e ();
-          order := e :: !order
-        end)
-      (first_argument term)
-  in
-  Array.iter (fun e -> note e.term) (force s).evs;
-  List.iter (fun ((f, _), _) -> note f) s.input_fluents;
-  List.rev !order
-
-(* All subterms of [term] that are entity keys. *)
-let entities_of keys term =
-  let acc = ref [] in
-  let rec walk t =
-    if TermTbl.mem keys t then acc := t :: !acc;
-    match t with Term.Compound (_, args) -> List.iter walk args | _ -> ()
-  in
-  walk term;
-  !acc
-
-(* Union-find over entity indices, with path compression. *)
-let rec uf_find parent i =
-  if parent.(i) = i then i
-  else begin
-    parent.(i) <- uf_find parent parent.(i);
-    parent.(i)
-  end
-
-let uf_union parent i j =
-  let ri = uf_find parent i and rj = uf_find parent j in
-  if ri <> rj then parent.(max ri rj) <- min ri rj
-
-let partition ?shards s =
-  let evs = (force s).evs in
-  let entity_list = entities s in
-  let keys = TermTbl.create 64 in
-  List.iteri (fun i e -> TermTbl.replace keys e i) entity_list;
-  let n_entities = List.length entity_list in
-  let parent = Array.init n_entities (fun i -> i) in
-  (* An item with no entity key (a zero-argument or numeric-keyed event)
-     cannot be attributed to any component: the only safe split is none. *)
-  let splittable = ref (n_entities > 0) in
-  let union_item term =
-    match entities_of keys term with
-    | [] -> splittable := false
-    | e :: rest ->
-      let i = TermTbl.find keys e in
-      List.iter (fun e' -> uf_union parent i (TermTbl.find keys e')) rest
-  in
-  Array.iter (fun e -> union_item e.term) evs;
-  List.iter (fun ((f, v), _) -> union_item (Term.app "=" [ f; v ])) s.input_fluents;
-  if not !splittable then [ s ]
-  else begin
-    (* Dense component ids, in entity first-appearance order. *)
-    let component_of_root = Hashtbl.create n_entities in
-    let n_components = ref 0 in
-    List.iteri
-      (fun i _ ->
-        let root = uf_find parent i in
-        if not (Hashtbl.mem component_of_root root) then begin
-          Hashtbl.replace component_of_root root !n_components;
-          incr n_components
-        end)
-      entity_list;
-    let n_components = !n_components in
-    let component_of term =
-      match entities_of keys term with
-      | [] -> assert false  (* splittable guaranteed an entity *)
-      | e :: _ -> Hashtbl.find component_of_root (uf_find parent (TermTbl.find keys e))
-    in
-    (* Greedy longest-processing-time grouping of components into at
-       most [shards] buckets, balanced by event count; deterministic
-       (stable sort, ties to the lowest-loaded then lowest-index shard). *)
-    let shards = max 1 (min n_components (Option.value ~default:n_components shards)) in
-    let sizes = Array.make n_components 0 in
-    Array.iter
-      (fun e -> sizes.(component_of e.term) <- sizes.(component_of e.term) + 1)
-      evs;
-    let order = List.init n_components (fun c -> c) in
-    let order =
-      List.stable_sort (fun a b -> Int.compare sizes.(b) sizes.(a)) order
-    in
-    let shard_of_component = Array.make n_components 0 in
-    let load = Array.make shards 0 in
-    List.iter
-      (fun c ->
-        let best = ref 0 in
-        for k = 1 to shards - 1 do
-          if load.(k) < load.(!best) then best := k
-        done;
-        shard_of_component.(c) <- !best;
-        load.(!best) <- load.(!best) + sizes.(c))
-      order;
-    (* One pass over the sorted event array buckets every shard's events
-       in time order; input fluents follow their component. *)
-    let shard_events = Array.make shards [] in
-    Array.iter
-      (fun e ->
-        let k = shard_of_component.(component_of e.term) in
-        shard_events.(k) <- e :: shard_events.(k))
-      evs;
-    let shard_fluents = Array.make shards [] in
-    List.iter
-      (fun (((f, v), _) as entry) ->
-        let k = shard_of_component.(component_of (Term.app "=" [ f; v ])) in
-        shard_fluents.(k) <- entry :: shard_fluents.(k))
-      s.input_fluents;
-    List.init shards (fun k ->
-        of_sorted ~input_fluents:(List.rev shard_fluents.(k)) (List.rev shard_events.(k)))
-  end
-
 let m_appends = Telemetry.Metrics.counter "stream.appends"
 let h_append_events = Telemetry.Metrics.histogram "stream.append_events"
 let h_merged_size = Telemetry.Metrics.histogram "stream.merged_size"
@@ -497,18 +351,3 @@ let drop_before s t =
       repr = Packed { evs; times; by_indicator };
     }
   end
-
-let first_input_time s =
-  let event_lo = if s.size = 0 then None else Some (fst s.extent) in
-  let fluent_lo =
-    List.fold_left
-      (fun acc (_, spans) ->
-        match Interval.to_list spans with
-        | [] -> acc
-        | (start, _) :: _ -> (
-          match acc with None -> Some start | Some a -> Some (min a start)))
-      None s.input_fluents
-  in
-  match (event_lo, fluent_lo) with
-  | None, x | x, None -> x
-  | Some a, Some b -> Some (min a b)

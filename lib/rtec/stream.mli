@@ -73,9 +73,9 @@ val append : t -> t -> t
     [stream.merged_size] histograms when telemetry is enabled.
 
     A stream with an unforced tail must be queried from a single domain
-    until its first query access packs it (the runtime's partition
-    shards and service buckets each belong to one worker per pass, which
-    satisfies this); a packed stream is immutable and freely shared. *)
+    until its first query access packs it (the runtime's service buckets
+    each belong to one worker per pass, which satisfies this); a packed
+    stream is immutable and freely shared. *)
 
 val append_items : t -> ?input_fluents:((Term.t * Term.t) * Interval.t) list -> event array -> t
 (** [append_items s items] appends a batch of events (and optional input
@@ -99,35 +99,3 @@ val drop_before : t -> int -> t
     with nothing to drop are shared), not a rebuild. The streaming
     service trims finalised history with this to keep its working set
     bounded. *)
-
-val first_input_time : t -> int option
-(** The earliest time-point at which the stream carries any information:
-    the first event time or the earliest input-fluent span start,
-    whichever is smaller. [None] for a stream with neither. *)
-
-(** {1 Entity sharding}
-
-    Recognition is entity-decomposable: per-entity activities are
-    independent up to fluents that relate several entities, so a stream
-    can be split along the connected components of its entity graph and
-    the shards recognised in parallel (see [Runtime]). *)
-
-val entities : t -> Term.t list
-(** The stream's entity keys, in first-appearance order. An argument is
-    an entity key when it occurs as the {e first} argument of some event
-    or input fluent of the stream — the RTEC convention leads with the
-    entity ([velocity(Vessel, ...)], [proximity(Vessel1, Vessel2)]),
-    while attribute arguments (areas, numeric readings) never lead.
-    Numeric first arguments are never keys. *)
-
-val partition : ?shards:int -> t -> t list
-(** [partition ~shards s] splits [s] into at most [shards] streams
-    (default: one per component) along the entity-connected components
-    of its events and input fluents: items are unioned over all the
-    entity keys occurring anywhere in them, so a pairwise fluent such as
-    [proximity(V1, V2)] keeps both vessels in one shard and a component
-    is never split. Components are grouped into shards greedily by event
-    count (deterministically) to balance load. The shards are disjoint
-    and cover the stream: every event and input fluent appears in
-    exactly one shard. When some event or input fluent has no entity key
-    the stream is unsplittable and [[s]] is returned. *)

@@ -211,12 +211,8 @@ module Session = struct
   let stats t = { queries = t.queries; events_processed = t.events_processed }
 end
 
-let run ?window ?step ?extent ?(compile = true) ~event_description ~knowledge ~stream () =
-  (* [extent] overrides the query-time grid: a shard of a partitioned
-     stream must evaluate the same query times as every other shard (and
-     as the unsharded run), so the sharding runtime passes the full
-     stream's extent here. *)
-  let lo, hi = Option.value ~default:(Stream.extent stream) extent in
+let run ?window ?step ?(compile = true) ~event_description ~knowledge ~stream () =
+  let lo, hi = Stream.extent stream in
   (* Without an explicit window, a single query covers the whole extent. *)
   let window = Option.value ~default:(hi - lo + 1) window in
   let step = Option.value ~default:window step in

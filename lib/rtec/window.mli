@@ -100,7 +100,6 @@ end
 val run :
   ?window:int ->
   ?step:int ->
-  ?extent:int * int ->
   ?compile:bool ->
   event_description:Ast.t ->
   knowledge:Knowledge.t ->
@@ -114,12 +113,8 @@ val run :
     (the differential oracle — results are bit-identical either way).
     Intervals still open at a query time are truncated just past that
     query's horizon, so that the next overlapping window extends them
-    seamlessly. [extent] overrides the [(lo, hi)] range the query times
-    are generated from (default: the stream's own extent) — the sharded
-    runtime passes the unsharded stream's extent so every shard
-    evaluates an identical query grid.
+    seamlessly.
 
     Application code should prefer [Runtime.run], which adds
-    entity-sharded multicore evaluation behind one config record; this
-    low-level entry point remains for the runtime itself and for
-    tests. *)
+    entity-grouped multicore evaluation behind one config record; this
+    low-level entry point remains as the tests' differential oracle. *)

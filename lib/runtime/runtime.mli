@@ -1,14 +1,15 @@
-(** Multicore sharded recognition runtime.
+(** Multicore entity-grouped recognition runtime.
 
     [Runtime.run] is the single entry point for stream recognition: it
-    consolidates the windowing knobs behind one {!config} record and,
-    when [jobs > 1], shards the stream along the entity-connected
-    components of its events and input fluents ({!Rtec.Stream.partition})
-    and recognises the shards in parallel on OCaml domains, merging the
-    per-shard results deterministically. Per-vessel (per-entity)
-    recognition is independent up to shared relational fluents, which the
-    partition never splits — so the sharded result is bit-identical to a
-    sequential run, as enforced by the differential test suite.
+    consolidates the windowing knobs behind one {!config} record and
+    runs a {!Service} session over the whole stream. With [jobs > 1] the
+    service routes the stream into its entity-connected components (the
+    same router [serve] uses), groups them into [jobs] buckets and
+    recognises the buckets in parallel on OCaml domains, merging the
+    per-bucket results deterministically. Per-vessel (per-entity)
+    recognition is independent up to shared relational fluents, which
+    the router never splits — so the grouped result is bit-identical to
+    a sequential run, as enforced by the differential test suite.
 
     Worker domains run with per-domain telemetry accumulators
     ({!Telemetry.Metrics.with_local}, {!Telemetry.Trace.with_local}):
@@ -43,38 +44,31 @@ type config = {
       (** query step; [None] (the default) means one window per step,
           i.e. tumbling windows *)
   jobs : int;
-      (** upper bound on worker-domain fan-out; the default [1]
-          evaluates sequentially in the calling domain, exactly like
-          [Window.run]. The effective fan-out is capped at
-          [Domain.recommended_domain_count ()]: domains beyond the
-          host's cores never help in OCaml 5 (every minor collection
-          synchronises all domains), so oversubscription is treated as
-          a request for "as parallel as this host goes". *)
-  shards : int option;
-      (** upper bound on the number of stream shards; [None] (the
-          default) uses one shard per {e effective} worker, so each
-          worker gets one balanced shard. An explicit count gives finer
-          load balancing (more shards than jobs) at the cost of more
-          per-query engine work — and forces the partition even where
-          the clamp serialised the workers. *)
+      (** the number of entity groups to evaluate, and the upper bound
+          on worker-domain fan-out. The default [1] evaluates the whole
+          stream as one bucket in the calling domain, exactly like
+          [Window.run]. Fan-out is capped at
+          [Domain.recommended_domain_count ()] (domains beyond the
+          host's cores never help in OCaml 5: every minor collection
+          synchronises all domains); groups beyond the cap share the
+          granted domains. *)
   compile : bool;
       (** compile transition rules to closure chains over interned terms
-          ([Rtec.Compiled]); each shard compiles its own program. [false]
-          forces the interpreter — the differential oracle; results are
-          bit-identical either way. Default [true]. *)
+          ([Rtec.Compiled]); each bucket compiles its own program.
+          [false] forces the interpreter — the differential oracle;
+          results are bit-identical either way. Default [true]. *)
 }
 
 val default : config
-(** [{ window = None; step = None; jobs = 1; shards = None; compile = true }] *)
+(** [{ window = None; step = None; jobs = 1; compile = true }] *)
 
-val config :
-  ?window:int -> ?step:int -> ?jobs:int -> ?shards:int -> ?compile:bool -> unit -> config
+val config : ?window:int -> ?step:int -> ?jobs:int -> ?compile:bool -> unit -> config
 (** [config ()] is {!default}; each argument overrides one field. *)
 
 type stats = {
-  queries : int;  (** query times processed, summed over shards *)
-  events_processed : int;  (** window-events evaluated, summed over shards *)
-  shards : int;  (** shards actually run *)
+  queries : int;  (** query times processed, summed over buckets *)
+  events_processed : int;  (** window-events evaluated, summed over buckets *)
+  shards : int;  (** entity buckets actually run *)
   jobs : int;  (** worker domains actually used *)
 }
 
@@ -85,20 +79,17 @@ val run :
   stream:Rtec.Stream.t ->
   unit ->
   (Rtec.Engine.result * stats, string) Result.t
-(** Recognises the event description over the stream.
+(** Recognises the event description over the stream: [Service.create],
+    [Service.seed ~groups:jobs], [Service.drain].
 
-    With an effective fan-out of 1 (requested [jobs = 1], or a larger
-    request clamped by a single-core host) and [shards = None] this is
-    exactly [Window.run ?window ?step]: same evaluation, same result
-    order, same single-domain execution. Otherwise the stream is
-    partitioned,
-    every shard is evaluated over the {e same} query-time grid (the full
-    stream's extent) with bounded fan-out, and the per-shard interval
-    maps are unioned in the canonical fluent-value order — so the output
-    is bit-identical to the sequential run. Streams that cannot be
+    With [jobs = 1] this is exactly [Window.run ?window ?step]: same
+    evaluation, same result order, same single-domain execution.
+    Otherwise every bucket is evaluated over the {e same} query-time
+    grid (the full stream's extent), and the per-bucket interval maps
+    are unioned in the canonical fluent-value order — so the output is
+    bit-identical to the sequential run. Streams that cannot be
     attributed to entities (an event with no entity key, or an event
-    description with ground [initially] facts, whose seeds belong to no
-    shard) fall back to a single shard; [stats.shards] reports what
-    actually ran. Fails like [Window.run] on invalid window/step, on
-    [jobs < 1], and on any shard's engine error (the lowest-numbered
-    shard's error wins, deterministically). *)
+    description with ground [initially] facts) run as a single bucket;
+    [stats.shards] reports what actually ran. Fails like [Window.run] on
+    invalid window/step, on [jobs < 1], and on any bucket's engine error
+    (the lowest-numbered bucket's error wins, deterministically). *)

@@ -14,15 +14,14 @@
    stream, which converges to the in-order batch result. Later items
    are counted and dropped.
 
-   Bucket assignment is dynamic and mirrors [Stream.partition]'s
-   entity-connected components incrementally: an argument becomes an
-   entity key the first time it leads an event or input fluent, items
-   are routed by the keys they mention, and a cross-bucket item (or a
-   late key binding, tracked through subterm mentions) coalesces the
-   buckets it connects — checkpoint-by-checkpoint, since every bucket
-   processes the same global query grid. An item with no entity key
-   makes recognition entity-inseparable, so the service collapses to a
-   single bucket, exactly like the batch partition's fallback. *)
+   Bucket assignment is dynamic, and this router is the repo's one
+   entity partitioner (batch [Runtime.run] seeds through it too): items
+   are routed by the entity keys they mention, and a cross-bucket item
+   (or a late key binding, tracked through subterm mentions) coalesces
+   the buckets it connects — checkpoint-by-checkpoint, since every
+   bucket processes the same global query grid. An item with no entity
+   key makes recognition entity-inseparable, so the service collapses
+   to a single bucket. *)
 
 module Session = Rtec.Window.Session
 
@@ -113,9 +112,6 @@ type t = {
   cfg : config;
   event_description : Rtec.Ast.t;
   knowledge : Rtec.Knowledge.t;
-  pool_always : bool;
-      (* bracket multi-bucket passes in the worker pool even at fan-out
-         1 — the batch wrapper's forced-shards telemetry semantics *)
   mutable buckets : bucket list;  (* most recent first *)
   mutable next_id : int;
   by_entity : bucket TermTbl.t;
@@ -157,12 +153,11 @@ let has_ground_initially event_description =
       | _ -> false)
     (Rtec.Ast.all_rules event_description)
 
-let create ?(pool_always = false) ~config ~event_description ~knowledge () =
+let create ~config ~event_description ~knowledge () =
   {
     cfg = config;
     event_description;
     knowledge;
-    pool_always;
     buckets = [];
     next_id = 0;
     by_entity = TermTbl.create 64;
@@ -289,7 +284,15 @@ let collapse svc =
     svc.single <- Some b;
     b
 
-(* --- dynamic entity routing (mirrors Stream.partition's conventions) --- *)
+(* --- dynamic entity routing ---
+
+   Two items can only interact through a rule when their entity
+   arguments are joined. An argument becomes an entity key the first
+   time it leads an event or input fluent: the RTEC convention puts the
+   entity first (velocity(Vessel, ...), proximity(Vessel1, Vessel2)),
+   while attribute arguments (areas, stops, numeric readings) never
+   lead — so pairwise fluents join both entities and shared locations
+   never glue unrelated ones. *)
 
 let first_argument term =
   match term with
@@ -719,10 +722,13 @@ let process_pass_inner svc ~w ~s ~now qs =
   let outcome =
     if n = 0 then Result.Ok ()
     else begin
+      (* [jobs] bounds the fan-out; domains beyond the host's cores
+         never help in OCaml 5 (every minor collection synchronises all
+         domains), so surplus buckets share the granted domains. *)
       let effective_jobs = min svc.cfg.jobs (Domain.recommended_domain_count ()) in
-      let use_pool = n > 1 && (svc.pool_always || effective_jobs > 1) in
-      let jobs = max 1 (min effective_jobs n) in
-      svc.last_jobs <- (if use_pool then jobs else 1);
+      let use_pool = n > 1 && effective_jobs > 1 in
+      let jobs = if use_pool then min effective_jobs n else 1 in
+      svc.last_jobs <- jobs;
       let outcomes =
         if use_pool then
           Pool.map ~jobs
@@ -808,20 +814,47 @@ let drain svc =
 
 (* --- batch seeding (the Runtime.run wrapper) --- *)
 
-let seed svc streams =
+(* The whole stream as one bucket: no routing, so a later ingest joins
+   it too (the service behaves as collapsed from here on). *)
+let seed_single svc stream =
+  let b = new_bucket svc in
+  b.stream <- stream;
+  if Rtec.Stream.size stream > 0 then begin
+    let lo, hi = Rtec.Stream.extent stream in
+    svc.ev_lo <- Some lo;
+    svc.ev_hi <- Some hi;
+    b.last_seen <- hi
+  end;
+  svc.collapsed <- true;
+  svc.single <- Some b
+
+(* Greedy longest-processing-time grouping: components largest first by
+   event count (stable, so ties keep creation order), each merged onto
+   the least-loaded group (ties to the lowest index). Fewer, larger
+   buckets than components keep the per-query engine overhead down. *)
+let group_buckets svc ~groups =
+  let load = Array.make groups 0 and slot = Array.make groups None in
   List.iter
-    (fun stream ->
-      let b = new_bucket svc in
-      b.stream <- stream;
-      if Rtec.Stream.size stream > 0 then begin
-        let s_lo, s_hi = Rtec.Stream.extent stream in
-        svc.ev_lo <- Some (match svc.ev_lo with None -> s_lo | Some x -> min x s_lo);
-        svc.ev_hi <- Some (match svc.ev_hi with None -> s_hi | Some x -> max x s_hi);
-        b.last_seen <- s_hi
-      end;
-      List.iter
-        (fun e ->
-          TermTbl.replace svc.keys e ();
-          note_entity svc b e)
-        (Rtec.Stream.entities stream))
-    streams
+    (fun b ->
+      let best = ref 0 in
+      for k = 1 to groups - 1 do
+        if load.(k) < load.(!best) then best := k
+      done;
+      load.(!best) <- load.(!best) + Rtec.Stream.size b.stream;
+      slot.(!best) <-
+        Some (match slot.(!best) with None -> b | Some g -> merge_buckets svc g b))
+    (List.stable_sort
+       (fun a b -> Int.compare (Rtec.Stream.size b.stream) (Rtec.Stream.size a.stream))
+       (alive_buckets svc))
+
+let seed svc ~groups stream =
+  let empty = Rtec.Stream.size stream = 0 && Rtec.Stream.input_fluents stream = [] in
+  if groups <= 1 || svc.collapsed || empty then seed_single svc stream
+  else begin
+    let events = List.map (fun e -> Rtec.Stream.Event e) (Rtec.Stream.events stream) in
+    let fluents =
+      List.map (fun (fv, spans) -> Rtec.Stream.Fluent (fv, spans)) (Rtec.Stream.input_fluents stream)
+    in
+    ingest svc (events @ fluents);
+    group_buckets svc ~groups
+  end

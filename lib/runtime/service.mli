@@ -5,12 +5,23 @@
     stream items as they arrive, {!tick} it on a wall-clock or explicit
     schedule to advance the sliding-window query grid, and read each
     tick's amalgamated intervals. Per-entity evaluation state persists
-    across windows in entity shards ("buckets") that mirror
-    {!Rtec.Stream.partition}'s connected components incrementally —
-    every bucket is driven by a {!Rtec.Window.Session}, the exact
+    across windows in entity shards ("buckets"): the service routes
+    every item to the bucket of its entity-connected component, and is
+    the repo's one entity partitioner — [Runtime.run] seeds a service
+    too. Every bucket is driven by a {!Rtec.Window.Session}, the exact
     per-query evaluation code of the batch path, so streaming results
     are bit-identical to an in-order batch run over the same accepted
     input.
+
+    Routing: an argument becomes an entity key the first time it leads
+    an event or input fluent (the RTEC convention puts the entity first:
+    [velocity(Vessel, ...)], [proximity(Vessel1, Vessel2)]; numeric
+    first arguments are never keys). An item belongs to the component of
+    every key occurring anywhere in it, so a pairwise fluent keeps both
+    entities in one bucket while a shared attribute constant (an area)
+    glues nothing. An item with no entity key, or an event description
+    with ground [initially] facts (whose seeds belong to no entity),
+    collapses the service to a single bucket.
 
     Out-of-order items are repaired by bounded revision: each processed
     query checkpoints the owning bucket's state (O(1), persistent maps);
@@ -29,7 +40,11 @@ type config = {
           for drain-only (batch) use, where it defaults to the whole
           extent — {!tick} requires an explicit window *)
   step : int option;  (** query step; [None] means one window per step *)
-  jobs : int;  (** upper bound on worker-domain fan-out per pass *)
+  jobs : int;
+      (** upper bound on worker-domain fan-out per pass, further capped
+          at [Domain.recommended_domain_count ()]: domains beyond the
+          host's cores never help in OCaml 5, so surplus buckets share
+          the granted domains *)
   compile : bool;  (** compile rule programs per bucket ({!Rtec.Compiled}) *)
   horizon : int;
       (** revision horizon in time-points: a late item is accepted and
@@ -88,16 +103,9 @@ type result = {
 type t
 
 val create :
-  ?pool_always:bool ->
-  config:config ->
-  event_description:Rtec.Ast.t ->
-  knowledge:Rtec.Knowledge.t ->
-  unit ->
-  t
+  config:config -> event_description:Rtec.Ast.t -> knowledge:Rtec.Knowledge.t -> unit -> t
 (** A fresh session; never fails (window/step validation surfaces at the
-    first {!tick}/{!drain}, like [Window.run]). [pool_always] brackets
-    multi-bucket passes in the worker pool even at fan-out 1 — the batch
-    wrapper's forced-shards telemetry semantics; leave it unset. *)
+    first {!tick}/{!drain}, like [Window.run]). *)
 
 val ingest : t -> Rtec.Stream.item list -> unit
 (** Feed a batch of stream items, in arrival order. Events need not be
@@ -129,16 +137,17 @@ val stats : t -> stats
 
 val watermark : t -> int option
 
-val seed : t -> Rtec.Stream.t list -> unit
-(** Pre-populate one bucket per stream (the batch wrapper's entry:
-    [Stream.partition] decides the shards, then one {!drain} sweeps the
-    grid). Entity keys of each stream are registered for routing, but
-    subterm mentions are not tracked for seeded items — mixing [seed]
-    with out-of-order {!ingest} of items that retroactively connect
-    seeded shards is not supported. *)
+val seed : t -> groups:int -> Rtec.Stream.t -> unit
+(** [seed svc ~groups s] loads a whole stream into a fresh service, the
+    batch wrapper's entry ([Runtime.run] is [create], [seed], {!drain}).
 
-val has_ground_initially : Rtec.Ast.t -> bool
-(** Whether the event description carries ground [initially(F = V)]
-    facts. Their seeds belong to no entity shard, so such descriptions
-    are evaluated in a single bucket (the batch runtime's sequential
-    fallback does the same). *)
+    With [groups <= 1], an empty [s], or when the service is already
+    collapsed (ground [initially] facts), [s] becomes the one bucket as
+    it is, without routing, and later {!ingest}s join that bucket too.
+    Otherwise the stream's events, then its input fluents, go through
+    {!ingest}, and the resulting component buckets are merged into at
+    most [groups] buckets by greedy longest-processing-time grouping:
+    largest by event count first, each onto the least-loaded group. A
+    component is never split, so the result is bit-identical to a
+    single-bucket run. Fewer buckets than [groups] can result: there may
+    be fewer components, and event-less components weigh nothing. *)

@@ -114,8 +114,6 @@ let with_span ?args name f =
       raise e
   end
 
-let instant ?args name = finish (start ?args name)
-
 (* Append a local recorder's spans to the global buffer, remapping ids
    (parents stay within the merged batch; local roots remain roots).
    Open local spans are closed at merge time — the recorder is gone
@@ -195,22 +193,6 @@ let value_to_json = function
 
 let args_to_json args = Json.Obj (List.map (fun (k, v) -> (k, value_to_json v)) args)
 
-let to_json () =
-  Json.List
-    (List.map
-       (fun i ->
-         Json.Obj
-           [
-             ("id", Json.Num (float_of_int i.span_id));
-             ("parent", Json.Num (float_of_int i.span_parent));
-             ("name", Json.Str i.span_name);
-             ("tid", Json.Num (float_of_int i.span_tid));
-             ("t_ns", Json.Num (Int64.to_float i.t_ns));
-             ("dur_ns", Json.Num (Int64.to_float i.dur_ns));
-             ("args", args_to_json i.span_args);
-           ])
-       (infos ()))
-
 (* Chrome trace_event format ("X" complete events, microsecond
    timestamps), loadable in chrome://tracing and Perfetto. Worker spans
    carry their shard/domain id as the tid, so each worker gets its own
@@ -271,10 +253,3 @@ let to_text () =
   Buffer.contents buf
 
 let write_chrome file = Json.write_file ~indent:false file (to_chrome ())
-let write_json file = Json.write_file ~indent:true file (to_json ())
-
-let write_text file =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_text ()))

@@ -41,9 +41,6 @@ val with_span : ?args:(string * value) list -> string -> (unit -> 'a) -> 'a
 (** [with_span name f] runs [f] inside a span; the span is closed even
     if [f] raises. When disabled this is exactly [f ()]. *)
 
-val instant : ?args:(string * value) list -> string -> unit
-(** A zero-duration marker event. *)
-
 val with_local : tid:int -> (unit -> 'a) -> 'a
 (** [with_local ~tid f] records the calling domain's spans into a
     private buffer while [f] runs, then appends them to the shared
@@ -73,15 +70,9 @@ val dropped_spans : unit -> int
 val to_text : unit -> string
 (** Human-readable indented tree with millisecond durations. *)
 
-val to_json : unit -> Json.t
-(** Flat array of span objects
-    ([id]/[parent]/[name]/[t_ns]/[dur_ns]/[args]). *)
-
 val to_chrome : unit -> Json.t
 (** Chrome [trace_event] document ("X" complete events, microsecond
     timestamps) — load the written file in [chrome://tracing] or
     Perfetto. *)
 
-val write_text : string -> unit
-val write_json : string -> unit
 val write_chrome : string -> unit

@@ -67,30 +67,31 @@ let test_gold_compiles () =
   Alcotest.(check bool) "most rules compile" true (compiled >= 60);
   Alcotest.(check bool) "at most one fallback" true (fallback <= 1)
 
-(* --- sharded runtime --- *)
+(* --- grouped runtime --- *)
 
-let runtime_run ?shards ~jobs ~compile ~event_description ~knowledge ~stream () =
+let runtime_run ~jobs ~compile ~event_description ~knowledge ~stream () =
   match
     Runtime.run
-      ~config:(Runtime.config ~window:3600 ~step:1800 ~jobs ?shards ~compile ())
+      ~config:(Runtime.config ~window:3600 ~step:1800 ~jobs ~compile ())
       ~event_description ~knowledge ~stream ()
   with
   | Ok (r, _) -> r
   | Error e -> failwith e
 
-(* [shards:4] forces the partition even where the clamp serialises the
-   domains: each shard compiles its own program, and the merged result
-   must still be bit-identical to the sequential interpreter. *)
+(* [jobs:4] evaluates four entity groups on any host, however many
+   domains the clamp grants: each group compiles its own program, and
+   the merged result must still be bit-identical to the sequential
+   interpreter. *)
 let test_sharded () =
   let d = Lazy.force maritime_dataset in
-  let run ?shards ~jobs ~compile () =
-    runtime_run ?shards ~jobs ~compile ~event_description:Maritime.Gold.event_description
+  let run ~jobs ~compile () =
+    runtime_run ~jobs ~compile ~event_description:Maritime.Gold.event_description
       ~knowledge:d.Maritime.Dataset.knowledge ~stream:d.Maritime.Dataset.stream ()
   in
   let interpreted = run ~jobs:1 ~compile:false () in
   check_identical "jobs 1" (run ~jobs:1 ~compile:true ()) interpreted;
-  check_identical "jobs 4" (run ~jobs:4 ~shards:4 ~compile:true ()) interpreted;
-  check_identical "jobs 4 interpreted" (run ~jobs:4 ~shards:4 ~compile:false ()) interpreted
+  check_identical "jobs 4" (run ~jobs:4 ~compile:true ()) interpreted;
+  check_identical "jobs 4 interpreted" (run ~jobs:4 ~compile:false ()) interpreted
 
 (* --- instrumentation modes --- *)
 

@@ -72,11 +72,11 @@ let test_oversized_record_dropped () =
 
 (* --- sampling determinism --- *)
 
-let sampled_queries ~jobs ?shards ~sampling ~event_description ~knowledge ~stream () =
+let sampled_queries ~jobs ~sampling ~event_description ~knowledge ~stream () =
   scoped (fun () ->
       Derivation.set_sampling sampling;
       Derivation.enable ();
-      let config = Runtime.config ~window:3600 ~step:1800 ~jobs ?shards () in
+      let config = Runtime.config ~window:3600 ~step:1800 ~jobs () in
       match Runtime.run ~config ~event_description ~knowledge ~stream () with
       | Error e -> Alcotest.failf "run failed: %s" e
       | Ok (_, stats) ->
@@ -91,8 +91,8 @@ let sampled_queries ~jobs ?shards ~sampling ~event_description ~knowledge ~strea
 let test_sampling_determinism () =
   let stream, knowledge = Lazy.force fleet_data in
   let ed = Domain.event_description Fleet.domain in
-  let run ~jobs ?shards ~sampling () =
-    sampled_queries ~jobs ?shards ~sampling ~event_description:ed ~knowledge ~stream ()
+  let run ~jobs ~sampling () =
+    sampled_queries ~jobs ~sampling ~event_description:ed ~knowledge ~stream ()
   in
   let full_stats, full_rec, full_qs = run ~jobs:1 ~sampling:Derivation.Always () in
   Alcotest.(check int) "Always samples every window" full_stats.Runtime.queries
@@ -125,10 +125,10 @@ let test_sampling_determinism () =
     (rec1.Derivation.windows_sampled + rec1.Derivation.windows_skipped);
   Alcotest.(check bool) "proper subset" true
     (List.length qs1 < List.length full_qs && qs1 <> []);
-  (* Every shard of a sharded run makes the same decision per window:
-     the sampled query-time set is unchanged, the per-shard counters are
+  (* Every bucket of a grouped run makes the same decision per window:
+     the sampled query-time set is unchanged, the per-bucket counters are
      an exact multiple of the sequential ones. *)
-  let _, rec4, qs4 = run ~jobs:4 ~shards:4 ~sampling () in
+  let _, rec4, qs4 = run ~jobs:4 ~sampling () in
   Alcotest.(check (list int)) "shards agree on the sampled windows" qs1 qs4;
   let per_window = rec1.Derivation.windows_sampled + rec1.Derivation.windows_skipped in
   let par_total = rec4.Derivation.windows_sampled + rec4.Derivation.windows_skipped in
@@ -138,17 +138,17 @@ let test_sampling_determinism () =
 
 (* --- exact shard merge --- *)
 
-let recorded_events ~jobs ?shards ~event_description ~knowledge ~stream () =
+let recorded_events ~jobs ~event_description ~knowledge ~stream () =
   scoped (fun () ->
       Derivation.enable ();
-      let config = Runtime.config ~window:3600 ~step:1800 ~jobs ?shards () in
+      let config = Runtime.config ~window:3600 ~step:1800 ~jobs () in
       match Runtime.run ~config ~event_description ~knowledge ~stream () with
       | Error e -> Alcotest.failf "run failed: %s" e
       | Ok _ -> Derivation.events ())
 
 let shard_merge_exact ~event_description ~knowledge ~stream () =
   let seq = recorded_events ~jobs:1 ~event_description ~knowledge ~stream () in
-  let par = recorded_events ~jobs:4 ~shards:4 ~event_description ~knowledge ~stream () in
+  let par = recorded_events ~jobs:4 ~event_description ~knowledge ~stream () in
   let queries evs =
     List.length (List.filter (function Derivation.Query _ -> true | _ -> false) evs)
   in

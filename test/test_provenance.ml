@@ -31,12 +31,13 @@ let maritime_dataset =
 
 let fleet_data = lazy (Fleet.generate ())
 
-(* The par variants force [shards] explicitly: [jobs] is clamped to the
-   host's cores, so on a small host the partition/merge (and per-shard
-   derivation accumulation) would otherwise go unexercised. *)
-let differential ~jobs ?shards ~event_description ~knowledge ~stream () =
+(* The par variants run four entity groups: [jobs] sets the group count
+   directly, so the grouping/merge (and per-bucket derivation
+   accumulation) is exercised on any host, even where the domain clamp
+   serialises the groups. *)
+let differential ~jobs ~event_description ~knowledge ~stream () =
   scoped (fun () ->
-      let config = Runtime.config ~window:3600 ~step:1800 ~jobs ?shards () in
+      let config = Runtime.config ~window:3600 ~step:1800 ~jobs () in
       let plain =
         match Runtime.run ~config ~event_description ~knowledge ~stream () with
         | Ok (result, _) -> result
@@ -62,7 +63,7 @@ let test_differential_maritime_seq () =
 
 let test_differential_maritime_par () =
   let d = Lazy.force maritime_dataset in
-  differential ~jobs:4 ~shards:4 ~event_description:Maritime.Gold.event_description
+  differential ~jobs:4 ~event_description:Maritime.Gold.event_description
     ~knowledge:d.Maritime.Dataset.knowledge ~stream:d.Maritime.Dataset.stream ()
 
 let test_differential_fleet_seq () =
@@ -72,7 +73,7 @@ let test_differential_fleet_seq () =
 
 let test_differential_fleet_par () =
   let stream, knowledge = Lazy.force fleet_data in
-  differential ~jobs:4 ~shards:4 ~event_description:(Domain.event_description Fleet.domain)
+  differential ~jobs:4 ~event_description:(Domain.event_description Fleet.domain)
     ~knowledge ~stream ()
 
 (* --- the store --- *)

@@ -1,7 +1,8 @@
-(* The sharded recognition runtime: property tests for the entity
-   partition (disjoint, covering, component-preserving, append
-   round-trip) and the differential gate — sharded recognition is
-   bit-identical to sequential on the maritime scenario and the fleet
+(* The entity-grouped recognition runtime: property tests for the
+   service's router, the one entity partitioner (buckets are exactly the
+   entity-connected components; seeding groups them without losing or
+   repeating an event), and the differential gate — grouped recognition
+   is bit-identical to sequential on the maritime scenario and the fleet
    synthetic day, with telemetry enabled and disabled. *)
 
 open Rtec
@@ -29,60 +30,40 @@ let item_gen =
         map2 (fun v v' -> Near (v, v')) (int_bound 7) (int_bound 7);
       ])
 
-let stream_of_items items =
+(* The generated items as ingestion items, in generation (arrival)
+   order. *)
+let stream_items items =
   let entity v = Term.Atom (Printf.sprintf "v%d" v) in
   let area a = Term.Atom (Printf.sprintf "a%d" a) in
-  let events =
-    List.filter_map
-      (function
-        | Solo (t, v) -> Some { Stream.time = t; term = Term.app "move" [ entity v ] }
-        | Visit (t, v, a) ->
-          Some { Stream.time = t; term = Term.app "visit" [ entity v; area a ] }
-        | Near _ -> None)
-      items
-  in
-  let input_fluents =
-    List.filter_map
-      (function
-        | Near (v, v') ->
-          Some
-            ( (Term.app "near" [ entity v; entity v' ], Term.Atom "true"),
-              Interval.of_list [ (0, 50) ] )
-        | _ -> None)
-      items
-  in
-  Stream.make ~input_fluents events
+  List.map
+    (function
+      | Solo (t, v) -> Stream.Event { Stream.time = t; term = Term.app "move" [ entity v ] }
+      | Visit (t, v, a) ->
+        Stream.Event { Stream.time = t; term = Term.app "visit" [ entity v; area a ] }
+      | Near (v, v') ->
+        Stream.Fluent
+          ( (Term.app "near" [ entity v; entity v' ], Term.Atom "true"),
+            Interval.of_list [ (0, 50) ] ))
+    items
 
-let items_case =
-  QCheck.make
-    ~print:(fun items ->
-      String.concat "; "
-        (List.map
-           (function
-             | Solo (t, v) -> Printf.sprintf "move(v%d)@%d" v t
-             | Visit (t, v, a) -> Printf.sprintf "visit(v%d,a%d)@%d" v a t
-             | Near (v, v') -> Printf.sprintf "near(v%d,v%d)" v v')
-           items))
-    QCheck.Gen.(list_size (int_range 1 25) item_gen)
+let stream_of_items items = Stream.of_items (stream_items items)
 
-let shards_gen = QCheck.Gen.int_range 1 5
+let print_items items =
+  String.concat "; "
+    (List.map
+       (function
+         | Solo (t, v) -> Printf.sprintf "move(v%d)@%d" v t
+         | Visit (t, v, a) -> Printf.sprintf "visit(v%d,a%d)@%d" v a t
+         | Near (v, v') -> Printf.sprintf "near(v%d,v%d)" v v')
+       items)
 
+let items_gen = QCheck.Gen.list_size (QCheck.Gen.int_range 1 25) item_gen
+
+(* Items plus a small integer: a batch split point, or a group count. *)
 let case =
   QCheck.make
-    ~print:(fun (items, k) -> Printf.sprintf "shards=%d items=[...%d]" k (List.length items))
-    QCheck.Gen.(pair (QCheck.gen items_case) shards_gen)
-
-(* A canonical, order-insensitive view of a stream's contents. *)
-let event_multiset s =
-  List.sort compare
-    (List.map (fun (e : Stream.event) -> (e.time, Term.to_string e.term)) (Stream.events s))
-
-let fluent_set s =
-  List.sort compare
-    (List.map
-       (fun ((f, v), spans) ->
-         (Term.to_string f ^ "=" ^ Term.to_string v, Interval.to_list spans))
-       (Stream.input_fluents s))
+    ~print:(fun (items, k) -> Printf.sprintf "k=%d items=[%s]" k (print_items items))
+    QCheck.Gen.(pair items_gen (int_range 1 5))
 
 (* Independent component oracle: items are connected when they share an
    entity key (a term leading some event or input fluent), computed by
@@ -131,103 +112,7 @@ let oracle_components s =
   in
   merge (List.filter (fun g -> g <> []) items)
 
-let prop_partition_disjoint_cover =
-  prop "partition shards are disjoint and cover the stream" 200 case (fun (items, k) ->
-      let s = stream_of_items items in
-      let shards = Stream.partition ~shards:k s in
-      List.length shards <= max 1 k
-      && event_multiset s = List.sort compare (List.concat_map event_multiset shards)
-      && fluent_set s = List.sort compare (List.concat_map fluent_set shards))
-
-let prop_partition_never_splits =
-  prop "partition never splits an entity-connected component" 200 case (fun (items, k) ->
-      let s = stream_of_items items in
-      let shards = Stream.partition ~shards:k s in
-      (* Every oracle component's keys must live in exactly one shard:
-         a key "lives" in the shard whose events or fluents mention it. *)
-      let shard_of_key key =
-        List.concat
-          (List.mapi
-             (fun i shard ->
-               let mentions term =
-                 let rec walk t =
-                   Term.equal t key
-                   || match t with Term.Compound (_, args) -> List.exists walk args | _ -> false
-                 in
-                 walk term
-               in
-               if
-                 List.exists (fun (e : Stream.event) -> mentions e.term) (Stream.events shard)
-                 || List.exists
-                      (fun ((f, v), _) -> mentions f || mentions v)
-                      (Stream.input_fluents shard)
-               then [ i ]
-               else [])
-             shards)
-      in
-      List.for_all
-        (fun component ->
-          match List.sort_uniq compare (List.concat_map shard_of_key component) with
-          | [] | [ _ ] -> true
-          | _ -> false)
-        (oracle_components s))
-
-let prop_partition_roundtrip =
-  prop "folding shards back with append round-trips the stream" 200 case (fun (items, k) ->
-      let s = stream_of_items items in
-      match Stream.partition ~shards:k s with
-      | [] -> false
-      | first :: rest ->
-        let folded = List.fold_left Stream.append first rest in
-        event_multiset folded = event_multiset s
-        && fluent_set folded = fluent_set s
-        && Stream.extent folded = Stream.extent s
-        && Stream.size folded = Stream.size s)
-
-let test_partition_unsplittable () =
-  (* A zero-argument event cannot be attributed to an entity: the stream
-     must come back whole. *)
-  let s =
-    Stream.make
-      [
-        { Stream.time = 1; term = Term.app "move" [ Term.Atom "v1" ] };
-        { Stream.time = 2; term = Term.Atom "tick" };
-        { Stream.time = 3; term = Term.app "move" [ Term.Atom "v2" ] };
-      ]
-  in
-  Alcotest.(check int) "single shard" 1 (List.length (Stream.partition ~shards:4 s));
-  (* Pairwise fluents keep both entities together. *)
-  let pairwise =
-    Stream.make
-      ~input_fluents:
-        [
-          ( (Term.app "near" [ Term.Atom "v1"; Term.Atom "v2" ], Term.Atom "true"),
-            Interval.of_list [ (0, 9) ] );
-        ]
-      [
-        { Stream.time = 1; term = Term.app "move" [ Term.Atom "v1" ] };
-        { Stream.time = 2; term = Term.app "move" [ Term.Atom "v2" ] };
-        { Stream.time = 3; term = Term.app "move" [ Term.Atom "v3" ] };
-      ]
-  in
-  match Stream.partition ~shards:4 pairwise with
-  | [ a; b ] ->
-    let sizes = List.sort compare [ Stream.size a; Stream.size b ] in
-    Alcotest.(check (list int)) "v1-v2 together, v3 alone" [ 1; 2 ] sizes
-  | shards -> Alcotest.failf "expected 2 shards, got %d" (List.length shards)
-
-(* --- differential: sharded == sequential, telemetry on and off --- *)
-
-let exact result =
-  List.map
-    (fun ((f, v), spans) -> (Term.to_string f, Term.to_string v, Interval.to_list spans))
-    result
-
-let recognise ?shards ~jobs ~event_description ~knowledge ~stream () =
-  let config = Runtime.config ~window:3600 ~step:1800 ~jobs ?shards () in
-  match Runtime.run ~config ~event_description ~knowledge ~stream () with
-  | Ok (result, stats) -> (exact result, stats)
-  | Error e -> Alcotest.failf "recognition (jobs=%d) failed: %s" jobs e
+(* --- the router: service buckets are the entity components --- *)
 
 let scoped_telemetry f =
   Telemetry.Trace.reset ();
@@ -241,18 +126,100 @@ let scoped_telemetry f =
       Telemetry.Metrics.reset ())
     f
 
-(* [jobs] is clamped to the host's cores, so the partition is forced
-   with an explicit [shards]: the sharded evaluation and the canonical
-   merge must stay exercised (and bit-identical) on any host, however
-   many domains actually run. *)
+let service () =
+  Runtime.Service.create ~config:(Runtime.Service.config ()) ~event_description:[]
+    ~knowledge:Knowledge.empty ()
+
+let buckets svc = (Runtime.Service.stats svc).buckets
+
+(* Items arrive in generation order, mixing events and fluents, split
+   into two batches: keys first seen after a mention, merges inside a
+   batch and merges across batches are all exercised. *)
+let prop_router_components =
+  prop "router buckets are exactly the entity components" 200 case (fun (items, k) ->
+      let svc = service () in
+      let arrivals = stream_items items in
+      let cut = k mod (List.length arrivals + 1) in
+      Runtime.Service.ingest svc (List.filteri (fun i _ -> i < cut) arrivals);
+      Runtime.Service.ingest svc (List.filteri (fun i _ -> i >= cut) arrivals);
+      buckets svc = List.length (oracle_components (stream_of_items items)))
+
+(* Grouping never loses or repeats an event: without a window the drain
+   runs one query over the whole extent per bucket, so the window-events
+   summed over the buckets count every event exactly once. *)
+let prop_seed_groups =
+  prop "seeded groups are bounded and evaluate every event once" 200 case
+    (fun (items, k) ->
+      let s = stream_of_items items in
+      let svc = service () in
+      Runtime.Service.seed svc ~groups:k s;
+      let n = buckets svc in
+      1 <= n && n <= k
+      &&
+      match Runtime.Service.drain svc with
+      | Ok r -> r.stats.events_processed = Stream.size s
+      | Error e -> QCheck.Test.fail_report e)
+
+let test_unsplittable () =
+  let move t v = { Stream.time = t; term = Term.app "move" [ Term.Atom v ] } in
+  (* A zero-argument event cannot be attributed to an entity: the
+     service collapses to one bucket. *)
+  let svc = service () in
+  Runtime.Service.seed svc ~groups:4
+    (Stream.make [ move 1 "v1"; { Stream.time = 2; term = Term.Atom "tick" }; move 3 "v2" ]);
+  Alcotest.(check int) "single bucket" 1 (buckets svc);
+  (* So is an empty stream: one bucket, as at [groups:1]. *)
+  let svc = service () in
+  Runtime.Service.seed svc ~groups:4 (Stream.make []);
+  Alcotest.(check int) "empty stream, single bucket" 1 (buckets svc);
+  (* Pairwise fluents keep both entities together; the drain's one
+     [window.query] per bucket reports each bucket's event count. *)
+  let pairwise =
+    Stream.make
+      ~input_fluents:
+        [
+          ( (Term.app "near" [ Term.Atom "v1"; Term.Atom "v2" ], Term.Atom "true"),
+            Interval.of_list [ (0, 9) ] );
+        ]
+      [ move 1 "v1"; move 2 "v2"; move 3 "v3" ]
+  in
+  let svc = service () in
+  Runtime.Service.seed svc ~groups:4 pairwise;
+  Alcotest.(check int) "two buckets" 2 (buckets svc);
+  let sizes =
+    scoped_telemetry (fun () ->
+        ignore (Runtime.Service.drain svc);
+        List.filter_map
+          (fun (i : Telemetry.Trace.info) ->
+            match (i.span_name, List.assoc_opt "events" i.span_args) with
+            | "window.query", Some (Telemetry.Trace.Int n) -> Some n
+            | _ -> None)
+          (Telemetry.Trace.infos ()))
+  in
+  Alcotest.(check (list int)) "v1-v2 together, v3 alone" [ 1; 2 ] (List.sort compare sizes)
+
+(* --- differential: grouped == sequential, telemetry on and off --- *)
+
+let exact result =
+  List.map
+    (fun ((f, v), spans) -> (Term.to_string f, Term.to_string v, Interval.to_list spans))
+    result
+
+let recognise ~jobs ~event_description ~knowledge ~stream () =
+  let config = Runtime.config ~window:3600 ~step:1800 ~jobs () in
+  match Runtime.run ~config ~event_description ~knowledge ~stream () with
+  | Ok (result, stats) -> (exact result, stats)
+  | Error e -> Alcotest.failf "recognition (jobs=%d) failed: %s" jobs e
+
+(* [jobs] sets the group count directly, so the grouped evaluation and
+   the canonical merge stay exercised (and bit-identical) on any host,
+   however many domains the clamp grants. *)
 let check_differential ~name ~event_description ~knowledge ~stream =
   let sequential, _ = recognise ~jobs:1 ~event_description ~knowledge ~stream () in
   Alcotest.(check bool) (name ^ ": sequential recognises something") true (sequential <> []);
   List.iter
     (fun jobs ->
-      let sharded, stats =
-        recognise ~jobs ~shards:jobs ~event_description ~knowledge ~stream ()
-      in
+      let sharded, stats = recognise ~jobs ~event_description ~knowledge ~stream () in
       Alcotest.(check bool)
         (Printf.sprintf "%s: jobs=%d actually sharded" name jobs)
         true (stats.Runtime.shards > 1);
@@ -265,22 +232,25 @@ let check_differential ~name ~event_description ~knowledge ~stream =
          worker-tagged tracks in the shared recorder. *)
       let with_telemetry =
         scoped_telemetry (fun () ->
-            let r, _ = recognise ~jobs ~shards:jobs ~event_description ~knowledge ~stream () in
+            let r, stats = recognise ~jobs ~event_description ~knowledge ~stream () in
             let tids =
-              List.sort_uniq compare
-                (List.filter_map
-                   (fun (i : Telemetry.Trace.info) ->
-                     if i.span_name = "window.query" then Some i.span_tid else None)
-                   (Telemetry.Trace.infos ()))
+              List.filter_map
+                (fun (i : Telemetry.Trace.info) ->
+                  if i.span_name = "window.query" then Some i.span_tid else None)
+                (Telemetry.Trace.infos ())
             in
-            (* One trace track per domain the host actually granted: all
-               requested on a many-core machine, a single track when the
-               clamp serialised the shards. *)
-            let parallel = min jobs (Stdlib.Domain.recommended_domain_count ()) > 1 in
+            (* The pool balances tasks dynamically, so which granted
+               domain runs a bucket is up to the schedule; these checks
+               hold under any schedule. [pool telemetry across real
+               domains] asserts true concurrency. *)
+            let granted = min jobs (Stdlib.Domain.recommended_domain_count ()) in
             Alcotest.(check bool)
-              (Printf.sprintf "%s: jobs=%d one track per granted domain" name jobs)
+              (Printf.sprintf "%s: jobs=%d spans on granted domains' tracks" name jobs)
               true
-              (if parallel then List.length tids > 1 else List.length tids = 1);
+              (List.for_all (fun tid -> 0 <= tid && tid < granted) tids);
+            Alcotest.(check int)
+              (Printf.sprintf "%s: jobs=%d one window.query span per query" name jobs)
+              stats.Runtime.queries (List.length tids);
             Alcotest.(check bool)
               (Printf.sprintf "%s: jobs=%d worker metrics merged at join" name jobs)
               true
@@ -391,11 +361,9 @@ let test_config_validation () =
 
 let suite =
   [
-    prop_partition_disjoint_cover;
-    prop_partition_never_splits;
-    prop_partition_roundtrip;
-    Alcotest.test_case "unsplittable streams and pairwise fluents" `Quick
-      test_partition_unsplittable;
+    prop_router_components;
+    prop_seed_groups;
+    Alcotest.test_case "unsplittable streams and pairwise fluents" `Quick test_unsplittable;
     Alcotest.test_case "sharded vs sequential differential (maritime)" `Quick
       test_differential_maritime;
     Alcotest.test_case "sharded vs sequential differential (fleet)" `Quick
