@@ -1,15 +1,20 @@
 (* Rule compilation: specialise transition rules into closure chains
    over interned ground terms.
 
-   At [Window.run] entry each initiatedAt/terminatedAt rule of the
-   event description is compiled, against the (fixed) stream and
-   knowledge base, into a chain of closures over a reusable slot frame:
-   event candidates come from pre-interned per-indicator arrays, pattern
-   matching is integer comparison on intern ids, numeric guards read an
-   unboxed float per slot, and holdsAt probes hit the int-keyed engine
-   cache. Per-window evaluation then executes int comparisons and array
-   indexing where the interpreter re-unified substitution maps and
-   re-traversed the AST.
+   A [Window.Session] compiles each initiatedAt/terminatedAt rule of the
+   event description once, against its stream and knowledge base, into
+   a chain of closures over a reusable slot frame: event candidates come
+   from pre-interned per-indicator arrays, pattern matching is integer
+   comparison on intern ids, numeric guards read an unboxed float per
+   slot, and holdsAt probes hit the int-keyed engine cache. Per-window
+   evaluation then executes int comparisons and array indexing where the
+   interpreter re-unified substitution maps and re-traversed the AST.
+
+   The program outlives one stream value: each event table sits in a
+   cell that its closures read on entry, and [refresh] swaps in the
+   table of a grown stream, interning only the events past the prefix
+   the old table already covers. Rules, knowledge tables, the intern
+   table and the probe memos survive a refresh.
 
    The compiler is deliberately partial: any rule shape outside the
    analysed fragment (unbound probe arguments, [=] unification,
@@ -21,7 +26,7 @@
    [Engine.body_solutions] exactly.
 
    A program's frames and state cells are mutable: a program belongs to
-   one domain (each runtime shard compiles its own). *)
+   one domain (each session compiles its own). *)
 
 type frame = {
   ids : int array;  (* slot -> intern id of the bound term *)
@@ -53,9 +58,20 @@ type compiled_rule = {
 }
 type rule_code = Compiled of compiled_rule | Interpreted
 
+(* --- pre-interned candidate tables --- *)
+
+type candidates = {
+  c_src : Stream.event array;  (* events: the stream array the rows mirror; facts: [||] *)
+  c_times : int array;  (* events: sorted occurrence times; facts: [||] *)
+  c_ids : int array array;  (* per candidate: intern id of each argument *)
+  c_terms : Term.t array array;
+  c_nums : float array array;
+}
+
 type program = {
   p_intern : Intern.t;
   p_code : (string * int * int, rule_code) Hashtbl.t;  (* indicator + rule index *)
+  p_events : (string * int, candidates ref) Hashtbl.t;  (* cells the closures read *)
   p_compiled : int;  (* rules compiled to closures *)
   p_fallback : int;  (* transition rules left to the interpreter *)
 }
@@ -63,15 +79,6 @@ type program = {
 let intern p = p.p_intern
 let rule_code p ~ind ~index = Hashtbl.find_opt p.p_code (fst ind, snd ind, index)
 let stats p = (p.p_compiled, p.p_fallback)
-
-(* --- pre-interned candidate tables --- *)
-
-type candidates = {
-  c_times : int array;  (* events: sorted occurrence times; facts: [||] *)
-  c_ids : int array array;  (* per candidate: intern id of each argument *)
-  c_terms : Term.t array array;
-  c_nums : float array array;
-}
 
 (* Numeric value of a ground term, evaluated exactly like
    [Engine.eval_num] on a ground input (so a compiled guard agrees with
@@ -101,27 +108,40 @@ let intern_args intern terms =
     terms;
   (ids, tarr, nums)
 
-let events_table intern stream ind =
-  let events = Stream.indexed stream ~functor_:ind in
+let no_candidates = { c_src = [||]; c_times = [||]; c_ids = [||]; c_terms = [||]; c_nums = [||] }
+
+(* The table of an indicator's event array. Rows of [prev] are kept for
+   the prefix of [events] that is physically [prev]'s source — a grown
+   stream shares the events it already had, and the merge keeps them in
+   order — so only the events after that prefix are interned. *)
+let events_table ?(prev = no_candidates) intern events =
   let n = Array.length events in
-  let c_times = Array.make n 0 in
-  let c_ids = Array.make n [||] and c_terms = Array.make n [||] in
-  let c_nums = Array.make n [||] in
-  Array.iteri
-    (fun j (e : Stream.event) ->
-      c_times.(j) <- e.time;
-      let ids, tarr, nums = intern_args intern (Term.args e.term) in
-      c_ids.(j) <- ids;
-      c_terms.(j) <- tarr;
-      c_nums.(j) <- nums)
-    events;
-  { c_times; c_ids; c_terms; c_nums }
+  let keep = ref 0 and shared = min n (Array.length prev.c_src) in
+  while !keep < shared && events.(!keep) == prev.c_src.(!keep) do
+    incr keep
+  done;
+  let extend rows fill =
+    let a = Array.make n fill in
+    Array.blit rows 0 a 0 !keep;
+    a
+  in
+  let c_times = extend prev.c_times 0 and c_ids = extend prev.c_ids [||] in
+  let c_terms = extend prev.c_terms [||] and c_nums = extend prev.c_nums [||] in
+  for j = !keep to n - 1 do
+    let e = events.(j) in
+    c_times.(j) <- e.time;
+    let ids, tarr, nums = intern_args intern (Term.args e.term) in
+    c_ids.(j) <- ids;
+    c_terms.(j) <- tarr;
+    c_nums.(j) <- nums
+  done;
+  { c_src = events; c_times; c_ids; c_terms; c_nums }
 
 (* Candidate tables are interned once per program: every literal on the
    same indicator — across all rules — shares one table, so compiling 70
    rules scans the stream once per indicator, not once per literal. *)
 type tables = {
-  t_events : (string * int, candidates) Hashtbl.t;
+  t_events : (string * int, candidates ref) Hashtbl.t;
   t_facts : (string * int, candidates) Hashtbl.t;
 }
 
@@ -137,7 +157,7 @@ let facts_table intern knowledge ind =
       c_terms.(j) <- tarr;
       c_nums.(j) <- nums)
     facts;
-  { c_times = [||]; c_ids; c_terms; c_nums }
+  { no_candidates with c_ids; c_terms; c_nums }
 
 let memo tbl ind build =
   match Hashtbl.find_opt tbl ind with
@@ -382,12 +402,14 @@ let compile_rule intern ~tables ~stream ~knowledge (r : Ast.rule) ~fluent ~value
     | Term.Compound ("happensAt", [ (Term.Var _ as _ev); _ ]) -> raise Fallback
     | Term.Compound ("happensAt", [ ev; tm ]) ->
       let ind = Term.indicator ev in
-      let table = memo tables.t_events ind (events_table intern stream) in
+      (* Read on every entry, never captured: [refresh] replaces it. *)
+      let cell =
+        memo tables.t_events ind (fun ind ->
+            ref (events_table intern (Stream.indexed stream ~functor_:ind)))
+      in
       let specs, temp_args = compile_args ~negated:(not positive) (Term.args ev) in
       let tspec, temp_time = compile_time_arg ~negated:(not positive) tm in
       if not positive then release (temp_args @ temp_time);
-      let times = table.c_times in
-      let count = Array.length times in
       let bounds () =
         match tspec with
         | T_bind _ -> (st.r_from, st.r_until)
@@ -398,10 +420,12 @@ let compile_rule intern ~tables ~stream ~knowledge (r : Ast.rule) ~fluent ~value
       in
       if positive then (
         fun k () ->
+          let table = !cell in
+          let times = table.c_times in
           let tlo, thi = bounds () in
           if tlo <= thi then begin
             let i = ref (lower_bound times tlo) in
-            while !i < count && times.(!i) <= thi do
+            while !i < Array.length times && times.(!i) <= thi do
               let j = !i in
               if apply_specs frame specs table.c_ids.(j) table.c_terms.(j) table.c_nums.(j)
               then begin
@@ -417,11 +441,13 @@ let compile_rule intern ~tables ~stream ~knowledge (r : Ast.rule) ~fluent ~value
           end)
       else
         fun k () ->
+          let table = !cell in
+          let times = table.c_times in
           let tlo, thi = bounds () in
           let found = ref false in
           if tlo <= thi then begin
             let i = ref (lower_bound times tlo) in
-            while (not !found) && !i < count && times.(!i) <= thi do
+            while (not !found) && !i < Array.length times && times.(!i) <= thi do
               let j = !i in
               if apply_specs frame specs table.c_ids.(j) table.c_terms.(j) table.c_nums.(j)
               then found := true;
@@ -597,7 +623,7 @@ let compile_rule intern ~tables ~stream ~knowledge (r : Ast.rule) ~fluent ~value
         (List.map (fun (v, k) -> if k = `Time then lnot (slot v) else slot v) bindings);
   }
 
-let compile ~event_description ~knowledge ~stream () =
+let compile ~analysis ~knowledge ~stream () =
   let intern = Intern.create () in
   let code = Hashtbl.create 64 in
   let tables = { t_events = Hashtbl.create 32; t_facts = Hashtbl.create 32 } in
@@ -624,8 +650,21 @@ let compile ~event_description ~knowledge ~stream () =
             in
             Hashtbl.replace code (fst info.indicator, snd info.indicator, i) entry)
           info.rules)
-    (Dependency.all (Dependency.analyse event_description));
-  { p_intern = intern; p_code = code; p_compiled = !compiled; p_fallback = !fallback }
+    (Dependency.all analysis);
+  {
+    p_intern = intern;
+    p_code = code;
+    p_events = tables.t_events;
+    p_compiled = !compiled;
+    p_fallback = !fallback;
+  }
+
+let refresh p stream =
+  Hashtbl.iter
+    (fun ind cell ->
+      let events = Stream.indexed stream ~functor_:ind in
+      if events != !cell.c_src then cell := events_table ~prev:!cell p.p_intern events)
+    p.p_events
 
 let binding_vars cr = cr.cr_bvars
 

@@ -2,9 +2,10 @@
     ground terms.
 
     [compile] specialises every [initiatedAt]/[terminatedAt] rule of an
-    event description against a fixed stream and knowledge base:
-    candidate events and facts are pre-interned into flat per-indicator
-    tables, pattern matching becomes integer comparison on {!Intern}
+    event description against a stream and knowledge base: candidate
+    events and facts are pre-interned into flat per-indicator tables,
+    and {!refresh} moves the event tables to a grown stream without
+    recompiling. Pattern matching becomes integer comparison on {!Intern}
     ids, numeric guards read unboxed floats, and [holdsAt] probes hit
     the int-keyed engine cache through a callback. A compiled chain
     explores exactly the search tree the interpreter would (same
@@ -18,8 +19,9 @@
     event/time terms) are marked {!Interpreted} and the engine falls
     back to the interpreter for those rules only.
 
-    A program's closure frames are mutable and unsynchronised: a program
-    belongs to one domain. Each runtime shard compiles its own. *)
+    A program's closure frames and table cells are mutable and
+    unsynchronised: a program belongs to one domain. Each
+    [Window.Session] compiles its own. *)
 
 type compiled_rule
 
@@ -28,9 +30,21 @@ type rule_code = Compiled of compiled_rule | Interpreted
 type program
 
 val compile :
-  event_description:Ast.t -> knowledge:Knowledge.t -> stream:Stream.t -> unit -> program
-(** Compile every transition rule of each simple fluent. Never fails:
+  analysis:Dependency.t -> knowledge:Knowledge.t -> stream:Stream.t -> unit -> program
+(** Compile every transition rule of each simple fluent of the analysed
+    event description ([Engine.analysis] of its plan). Never fails:
     uncompilable rules are recorded as {!Interpreted}. *)
+
+val refresh : program -> Stream.t -> unit
+(** Point the program's event tables at [stream]. An indicator whose
+    event array is physically the one its table was built from keeps the
+    table; otherwise the rows for the prefix the new array physically
+    shares with the old one are kept and only the events after it are
+    interned. Rules, closures, knowledge tables, the intern table and
+    the probe memos are untouched, so evaluation against the refreshed
+    program equals evaluation against a fresh {!compile} of [stream].
+    The intern table keeps every term it ever held: after [stream] lost
+    history, compile afresh to bound the table by the retained stream. *)
 
 val intern : program -> Intern.t
 (** The program's intern table. The engine shares it with its cache so

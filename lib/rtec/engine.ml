@@ -704,9 +704,32 @@ let initial_fvps event_description =
       | _ -> None)
     (Ast.all_rules event_description)
 
-(* Everything [run] needs after parsing the dependency structure and
-   seeding the cache; kept as a value so the negative-provenance probe
-   ([Diagnosis]) can re-enter evaluation with the same environment. *)
+(* Everything evaluation derives from the event description alone,
+   computed once per description rather than once per query. Immutable,
+   so the buckets of a service share one plan across domains. A cyclic
+   description keeps its [Error] here and fails at its first query. *)
+type plan = {
+  deps : Dependency.t;
+  order : ((string * int) list, string) Stdlib.result;
+  initially : fvp list;
+  window_insensitive : bool;
+}
+
+let plan event_description =
+  let deps = Dependency.analyse event_description in
+  {
+    deps;
+    order = Dependency.evaluation_order deps;
+    initially = initial_fvps event_description;
+    window_insensitive = Dependency.window_insensitive event_description;
+  }
+
+let analysis p = p.deps
+let window_insensitive p = p.window_insensitive
+
+(* Everything [run] needs after seeding the cache; kept as a value so the
+   negative-provenance probe ([Diagnosis]) can re-enter evaluation with
+   the same environment. *)
 type prepared = {
   p_env : env;
   p_deps : Dependency.t;
@@ -715,10 +738,9 @@ type prepared = {
   p_compiled : Compiled.program option;
 }
 
-let prepare_run ?(carry = []) ?(universe = []) ?input_from ?compiled ~event_description
-    ~knowledge ~stream ~from ~until () =
-  let deps = Dependency.analyse event_description in
-  match Dependency.evaluation_order deps with
+let prepare_run ?(carry = []) ?(universe = []) ?input_from ?compiled ~plan ~knowledge
+    ~stream ~from ~until () =
+  match plan.order with
   | Error e -> Result.Error e
   | Ok order ->
     let lo, _ = Stream.extent stream in
@@ -732,8 +754,7 @@ let prepare_run ?(carry = []) ?(universe = []) ?input_from ?compiled ~event_desc
          their effect forward. *)
       List.map (fun fv -> (fv, "carry")) carry
       @
-      if from <= lo then List.map (fun fv -> (fv, "initially")) (initial_fvps event_description)
-      else []
+      if from <= lo then List.map (fun fv -> (fv, "initially")) plan.initially else []
     in
     (* A compiled program shares its intern table with the cache, so the
        fvp ids baked into rule closures address cache slots directly. *)
@@ -759,7 +780,7 @@ let prepare_run ?(carry = []) ?(universe = []) ?input_from ?compiled ~event_desc
         | Some r -> r := fv :: !r)
       universe;
     let env = { stream; knowledge; cache; from; until; universe = universe_tbl } in
-    Ok { p_env = env; p_deps = deps; p_order = order; p_carry = carry; p_compiled = compiled }
+    Ok { p_env = env; p_deps = plan.deps; p_order = order; p_carry = carry; p_compiled = compiled }
 
 let evaluate_prepared p =
   let rec evaluate = function
@@ -793,11 +814,10 @@ let evaluate_prepared p =
   in
   evaluate p.p_order
 
-let run ?carry ?universe ?input_from ?compiled ~event_description ~knowledge ~stream ~from
-    ~until () =
+let run ?carry ?universe ?input_from ?compiled ~plan ~knowledge ~stream ~from ~until () =
   Result.bind
-    (prepare_run ?carry ?universe ?input_from ?compiled ~event_description ~knowledge
-       ~stream ~from ~until ())
+    (prepare_run ?carry ?universe ?input_from ?compiled ~plan ~knowledge ~stream ~from
+       ~until ())
     (fun p ->
       Result.map (fun () -> Cache.to_result p.p_env.cache) (evaluate_prepared p))
 
@@ -853,7 +873,8 @@ module Diagnosis = struct
       (fun () ->
         let lo, hi = Stream.extent stream in
         match
-          prepare_run ~event_description ~knowledge ~stream ~from:lo ~until:hi ()
+          prepare_run ~plan:(plan event_description) ~knowledge ~stream ~from:lo ~until:hi
+            ()
         with
         | Error e -> Result.Error e
         | Ok p -> (

@@ -18,12 +18,28 @@ val compare_fvp : fvp -> fvp -> int
 
 type result = (fvp * Interval.t) list
 
+type plan
+(** What evaluation derives from the event description alone: its
+    dependency analysis, evaluation order, ground [initially] facts and
+    window-insensitivity. Built once per description and immutable, so
+    every session of a service shares one plan, across domains too. *)
+
+val plan : Ast.t -> plan
+(** Never fails: a cyclic description's plan keeps the cycle error, and
+    every {!run} over it fails with that message. *)
+
+val analysis : plan -> Dependency.t
+(** The plan's dependency analysis, as {!Compiled.compile} takes it. *)
+
+val window_insensitive : plan -> bool
+(** {!Dependency.window_insensitive} of the planned description. *)
+
 val run :
   ?carry:fvp list ->
   ?universe:fvp list ->
   ?input_from:int ->
   ?compiled:Compiled.program ->
-  event_description:Ast.t ->
+  plan:plan ->
   knowledge:Knowledge.t ->
   stream:Stream.t ->
   from:int ->
@@ -45,8 +61,8 @@ val run :
     description are added to the carry. Fails when the description is not
     stratified or a fluent mixes rule kinds.
 
-    [compiled] is a rule program from {!Compiled.compile} (for this event
-    description, knowledge base and stream): transition rules then run as
+    [compiled] is a rule program from {!Compiled.compile} (for this plan,
+    knowledge base and stream): transition rules then run as
     closure chains over interned terms, with bit-identical results — also
     while derivation recording is enabled, when each compiled emission is
     re-encoded through a {!Derivation.sink} into the same compact records

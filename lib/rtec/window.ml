@@ -3,6 +3,7 @@ type stats = { queries : int; events_processed : int }
 let m_queries = Telemetry.Metrics.counter "window.queries"
 let m_delta_runs = Telemetry.Metrics.counter "window.delta_runs"
 let m_full_runs = Telemetry.Metrics.counter "window.full_runs"
+let m_compiles = Telemetry.Metrics.counter "window.compiles"
 let h_events = Telemetry.Metrics.histogram "window.events_per_query"
 let h_carry = Telemetry.Metrics.histogram "window.carry_size"
 
@@ -34,16 +35,18 @@ let query_times ~lo ~hi ~window ~step =
    streaming entry points hold by construction. *)
 module Session = struct
   type t = {
-    event_description : Ast.t;
+    plan : Engine.plan;
     knowledge : Knowledge.t;
     window : int;
     step : int;
     compile : bool;
     delta_ok : bool;
     mutable stream : Stream.t;
-    (* The compiled program bakes candidate tables from one fixed stream;
-       it stays valid exactly as long as the session evaluates that same
-       stream value (physical identity — streams are immutable). *)
+    (* The compiled program and the stream value (physical identity —
+       streams are immutable) its event tables mirror. A grown stream
+       refreshes the tables in place; a trimmed one drops the program,
+       so the next query compiles afresh and the intern table forgets
+       the trimmed history. *)
     mutable compiled : (Stream.t * Compiled.program) option;
     mutable accumulated : Interval.t FvpMap.t;
     mutable prev_q : int option;
@@ -58,7 +61,7 @@ module Session = struct
     cp_events_processed : int;
   }
 
-  let create ?(compile = true) ~window ~step ~event_description ~knowledge ~stream () =
+  let create ?(compile = true) ~window ~step ~plan ~knowledge ~stream () =
     if window <= 0 || step <= 0 then Result.Error "window and step must be positive"
     else
       (* When consecutive windows overlap and every construct in the event
@@ -68,12 +71,12 @@ module Session = struct
          re-evaluation of each window. *)
       Ok
         {
-          event_description;
+          plan;
           knowledge;
           window;
           step;
           compile;
-          delta_ok = step <= window && Dependency.window_insensitive event_description;
+          delta_ok = step <= window && Engine.window_insensitive plan;
           stream;
           compiled = None;
           accumulated = FvpMap.empty;
@@ -83,7 +86,9 @@ module Session = struct
         }
 
   let stream t = t.stream
-  let set_stream t stream = t.stream <- stream
+  let set_stream ?(trimmed = false) t stream =
+    t.stream <- stream;
+    if trimmed then t.compiled <- None
   let prev_q t = t.prev_q
   let delta_ok t = t.delta_ok
 
@@ -92,9 +97,14 @@ module Session = struct
     else
       match t.compiled with
       | Some (s, p) when s == t.stream -> Some p
-      | _ ->
+      | Some (_, p) ->
+        Compiled.refresh p t.stream;
+        t.compiled <- Some (t.stream, p);
+        Some p
+      | None ->
+        Telemetry.Metrics.incr m_compiles;
         let p =
-          Compiled.compile ~event_description:t.event_description ~knowledge:t.knowledge
+          Compiled.compile ~analysis:(Engine.analysis t.plan) ~knowledge:t.knowledge
             ~stream:t.stream ()
         in
         t.compiled <- Some (t.stream, p);
@@ -133,9 +143,8 @@ module Session = struct
     Telemetry.Metrics.observe h_carry (float_of_int (List.length carry));
     let sp = Telemetry.Trace.start "window.query" in
     let outcome =
-      Engine.run ~carry ~universe ~input_from:window_start ?compiled
-        ~event_description:t.event_description ~knowledge:t.knowledge ~stream:t.stream
-        ~from:eval_from ~until:q ()
+      Engine.run ~carry ~universe ~input_from:window_start ?compiled ~plan:t.plan
+        ~knowledge:t.knowledge ~stream:t.stream ~from:eval_from ~until:q ()
     in
     Telemetry.Trace.finish sp
       ~args:
@@ -216,7 +225,8 @@ let run ?window ?step ?(compile = true) ~event_description ~knowledge ~stream ()
   (* Without an explicit window, a single query covers the whole extent. *)
   let window = Option.value ~default:(hi - lo + 1) window in
   let step = Option.value ~default:window step in
-  match Session.create ~compile ~window ~step ~event_description ~knowledge ~stream () with
+  let plan = Engine.plan event_description in
+  match Session.create ~compile ~window ~step ~plan ~knowledge ~stream () with
   | Result.Error e -> Result.Error e
   | Ok session -> (
     let rec loop = function

@@ -42,19 +42,26 @@ module Session : sig
     ?compile:bool ->
     window:int ->
     step:int ->
-    event_description:Ast.t ->
+    plan:Engine.plan ->
     knowledge:Knowledge.t ->
     stream:Stream.t ->
     unit ->
     (t, string) Result.t
-  (** Fails like {!run} on non-positive [window]/[step]. The compiled
-      program (when [compile], the default) is built lazily at the first
-      {!process} and rebuilt whenever the session's stream value changes. *)
+  (** Fails like {!run} on non-positive [window]/[step]. Sessions of one
+      event description share its [plan]. The compiled program (when
+      [compile], the default) is built lazily at the first {!process},
+      counted by the [window.compiles] metric. When the session's stream
+      value has changed since, the next {!process} refreshes it
+      ({!Compiled.refresh}) rather than compiling again — unless
+      {!set_stream} was told the stream lost history. *)
 
-  val set_stream : t -> Stream.t -> unit
-  (** Replace the stream the next queries evaluate against (ingestion
-      appends, history trimming). Streams are immutable values; the
-      compiled-program cache is keyed on physical identity. *)
+  val set_stream : ?trimmed:bool -> t -> Stream.t -> unit
+  (** Replace the stream the next queries evaluate against. By default
+      the compiled program is refreshed, which suits a stream that only
+      grew (ingestion appends, bucket merges, late inserts); pass
+      [~trimmed:true] when it lost history ([Stream.drop_before]), so
+      the next query compiles afresh and the program's intern table stays
+      bounded by the retained stream. *)
 
   val stream : t -> Stream.t
   val prev_q : t -> int option

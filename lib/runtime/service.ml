@@ -110,7 +110,9 @@ type bucket = {
 
 type t = {
   cfg : config;
-  event_description : Rtec.Ast.t;
+  plan : Rtec.Engine.plan Lazy.t;
+      (* analysed once, at the first pass rather than by [create] so that
+         start-up does not pay for it; shared by every bucket's session *)
   knowledge : Rtec.Knowledge.t;
   mutable buckets : bucket list;  (* most recent first *)
   mutable next_id : int;
@@ -156,7 +158,7 @@ let has_ground_initially event_description =
 let create ~config ~event_description ~knowledge () =
   {
     cfg = config;
-    event_description;
+    plan = lazy (Rtec.Engine.plan event_description);
     knowledge;
     buckets = [];
     next_id = 0;
@@ -514,16 +516,15 @@ let resolve_ws svc hi_opt =
       check (w, Option.value ~default:w svc.cfg.step)
     | None, None -> Error "tick requires an explicit window")
 
-let ensure_session svc ~w ~s b =
+let ensure_session svc ~plan ~w ~s b =
   match b.session with
   | Some session ->
     if Session.stream session != b.stream then Session.set_stream session b.stream;
     Result.Ok session
   | None -> (
     match
-      Session.create ~compile:svc.cfg.compile ~window:w ~step:s
-        ~event_description:svc.event_description ~knowledge:svc.knowledge ~stream:b.stream
-        ()
+      Session.create ~compile:svc.cfg.compile ~window:w ~step:s ~plan
+        ~knowledge:svc.knowledge ~stream:b.stream ()
     with
     | Error e -> Result.Error e
     | Ok session ->
@@ -566,8 +567,8 @@ let plan_revision svc b =
     Telemetry.Flight.record Revision ~a:b.id ~b:t ~c:(List.length replays) ();
     replays
 
-let run_bucket svc ~w ~s ~lo (b, worklist) =
-  match ensure_session svc ~w ~s b with
+let run_bucket svc ~plan ~w ~s ~lo (b, worklist) =
+  match ensure_session svc ~plan ~w ~s b with
   | Result.Error e -> Result.Error e
   | Ok session ->
     Telemetry.Trace.with_span "window.run"
@@ -631,12 +632,16 @@ let finalise_and_evict svc ~w ~now =
           in
           go [] b.pending;
           (* Trim finalised history once at least a window's worth is
-             droppable, so idle buckets keep their compiled program. *)
+             droppable, so idle buckets keep their compiled program. A
+             trim recompiles, which keeps the program's intern table
+             bounded by the retained stream. *)
           match b.floor with
           | Some (fq, _) when Rtec.Stream.size b.stream > 0 ->
             let keep_from = fq - w + 2 in
-            if fst (Rtec.Stream.extent b.stream) < keep_from - w then
-              b.stream <- Rtec.Stream.drop_before b.stream keep_from
+            if fst (Rtec.Stream.extent b.stream) < keep_from - w then begin
+              b.stream <- Rtec.Stream.drop_before b.stream keep_from;
+              Option.iter (fun s -> Session.set_stream ~trimmed:true s b.stream) b.session
+            end
           | _ -> ()
         end)
       svc.buckets
@@ -710,6 +715,9 @@ let stats svc =
 let process_pass_inner svc ~w ~s ~now qs =
   (if qs <> [] && svc.lo = None then svc.lo <- Some (Option.value ~default:0 svc.ev_lo));
   let lo = Option.value ~default:0 svc.lo in
+  (* Forced before any fan-out: a lazy value must not be forced from two
+     domains at once. *)
+  let plan = Lazy.force svc.plan in
   let work =
     List.filter_map
       (fun b ->
@@ -739,9 +747,9 @@ let process_pass_inner svc ~w ~s ~now qs =
                     ("shard", Telemetry.Trace.Int i);
                     ("events", Telemetry.Trace.Int (Rtec.Stream.size b.stream));
                   ]
-                (fun () -> run_bucket svc ~w ~s ~lo wb))
+                (fun () -> run_bucket svc ~plan ~w ~s ~lo wb))
             work
-        else Array.map (run_bucket svc ~w ~s ~lo) work
+        else Array.map (run_bucket svc ~plan ~w ~s ~lo) work
       in
       (* The lowest-numbered bucket's error wins, deterministically. *)
       let rec first_error i =

@@ -105,7 +105,9 @@ type t
 val create :
   config:config -> event_description:Rtec.Ast.t -> knowledge:Rtec.Knowledge.t -> unit -> t
 (** A fresh session; never fails (window/step validation surfaces at the
-    first {!tick}/{!drain}, like [Window.run]). *)
+    first {!tick}/{!drain}, like [Window.run]). The event description is
+    analysed once per session, at its first evaluation pass, into the
+    {!Rtec.Engine.plan} every bucket's [Window.Session] shares. *)
 
 val ingest : t -> Rtec.Stream.item list -> unit
 (** Feed a batch of stream items, in arrival order. Events need not be

@@ -60,7 +60,8 @@ let test_fleet_gold () =
 let test_gold_compiles () =
   let d = Lazy.force maritime_dataset in
   let program =
-    Compiled.compile ~event_description:Maritime.Gold.event_description
+    Compiled.compile
+      ~analysis:(Engine.analysis (Engine.plan Maritime.Gold.event_description))
       ~knowledge:d.Maritime.Dataset.knowledge ~stream:d.Maritime.Dataset.stream ()
   in
   let compiled, fallback = Compiled.stats program in
@@ -178,14 +179,14 @@ let test_derivation_identical_maritime () =
 (* --- allocation and coverage bounds ---
 
    Exact, count-based bounds on the compiled hot path, over one batch
-   [Runtime.run] per fixture at window 3600 / step 1800 and jobs 1, with
-   telemetry off, so the counts include whatever the disabled probes
-   allocate. [Gc.minor_words] counts every word the calling domain
-   allocates on the minor heap, so each count repeats to the word. The
-   pinned counts were measured with these exact calls; a run may
-   allocate at most 1.25x its pin — room for a workload tweak, none for
-   losing the compiled path's cut (interpreted maritime allocates 12.7x
-   the compiled run). *)
+   [Runtime.run] per fixture at window 3600 / step 1800 and jobs 1, and
+   over the maritime fixture served live, with telemetry off, so the
+   counts include whatever the disabled probes allocate. [Gc.minor_words]
+   counts every word the calling domain allocates on the minor heap, so
+   each count repeats to the word. The pinned counts were measured with
+   these exact calls; a run may allocate at most 1.25x its pin — room
+   for a workload tweak, none for losing the compiled path's cut
+   (interpreted maritime allocates 14.4x the compiled run). *)
 
 let bounds_maritime =
   lazy
@@ -205,12 +206,52 @@ let bound_fixtures () =
     ( "maritime",
       run ~event_description:Maritime.Gold.event_description
         ~knowledge:d.Maritime.Dataset.knowledge ~stream:d.Maritime.Dataset.stream,
-      2_262_797.,
+      1_977_085.,
       28_724_102. );
     ( "fleet",
       run ~event_description:fleet_ed ~knowledge:fleet_knowledge ~stream:fleet_stream,
-      300_962.,
+      261_419.,
       583_345. );
+  ]
+
+(* The same maritime data served live through [Runtime.Service] (jobs 1,
+   window 3600, step 1800): its input fluents, then one event per
+   [ingest], a tick at every 1800 s boundary and a final drain. At
+   horizon 0 each bucket's stream only grows, so its program is compiled
+   once and refreshed; at horizon 1800 finalised history is trimmed and
+   each trim compiles afresh. *)
+let streamed ~horizon () =
+  let d = Lazy.force bounds_maritime in
+  let svc =
+    Runtime.Service.create
+      ~config:(Runtime.Service.config ~window:3600 ~step:1800 ~horizon ())
+      ~event_description:Maritime.Gold.event_description ~knowledge:d.Maritime.Dataset.knowledge
+      ()
+  in
+  let ok = function Ok _ -> () | Error e -> failwith e in
+  List.iter
+    (fun (fv, spans) -> Runtime.Service.ingest svc [ Stream.Fluent (fv, spans) ])
+    (Stream.input_fluents d.Maritime.Dataset.stream);
+  let next = ref max_int in
+  List.iter
+    (fun (e : Stream.event) ->
+      if !next = max_int then next := ((e.time / 1800) + 1) * 1800;
+      while e.time > !next do
+        ok (Runtime.Service.tick svc ~now:!next);
+        next := !next + 1800
+      done;
+      Runtime.Service.ingest svc [ Stream.Event e ])
+    (Stream.events d.Maritime.Dataset.stream);
+  ok (Runtime.Service.drain svc)
+
+(* [(name, run, compiled pin)]: refreshing instead of recompiling is a
+   compiled-path saving. Recompiling every bucket with new events at
+   every tick, as sessions did before they refreshed, allocated
+   14,345,008 and 15,551,453 words here. *)
+let streamed_fixtures =
+  [
+    ("streamed, horizon 0", streamed ~horizon:0, 5_037_293.);
+    ("streamed, horizon 1800", streamed ~horizon:1800, 7_069_358.);
   ]
 
 let minor_words f =
@@ -229,7 +270,10 @@ let test_allocation_bounds () =
         (minor_words (run ~compile:true));
       check_within_pin (name ^ " interpreted") ~pin:interpreted_pin
         (minor_words (run ~compile:false)))
-    (bound_fixtures ())
+    (bound_fixtures ());
+  List.iter
+    (fun (name, run, pin) -> check_within_pin name ~pin (minor_words run))
+    streamed_fixtures
 
 (* Always-on provenance must stay cheap on the compiled path: recording
    derivations may at most add half again to a run's allocation

@@ -39,7 +39,7 @@ let run_single_fluent ~starts ~stops =
   in
   let stream = Stream.make events in
   match
-    Engine.run ~event_description:ed ~knowledge:Knowledge.empty ~stream ~from:0 ~until:60 ()
+    Engine.run ~plan:(Engine.plan ed) ~knowledge:Knowledge.empty ~stream ~from:0 ~until:60 ()
   with
   | Ok result -> result
   | Error e -> failwith e
@@ -93,7 +93,7 @@ let run_setters assignments =
       assignments
   in
   match
-    Engine.run ~event_description:ed ~knowledge:Knowledge.empty
+    Engine.run ~plan:(Engine.plan ed) ~knowledge:Knowledge.empty
       ~stream:(Stream.make events) ~from:0 ~until:60 ()
   with
   | Ok result -> result
@@ -182,7 +182,7 @@ let test_maritime_incremental_equals_single () =
   let lo, hi = Stream.extent stream in
   let single =
     match
-      Engine.run ~event_description:ed ~knowledge:data.knowledge ~stream ~from:lo ~until:hi ()
+      Engine.run ~plan:(Engine.plan ed) ~knowledge:data.knowledge ~stream ~from:lo ~until:hi ()
     with
     | Ok r -> normalised lo hi r
     | Error e -> Alcotest.failf "single-pass run failed: %s" e

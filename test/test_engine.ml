@@ -7,7 +7,7 @@ let run ?carry ?(knowledge = Knowledge.empty) ?(input_fluents = []) ~source ~eve
     ~from ~until () =
   let ed = [ Parser.parse_definition ~name:"test" source ] in
   let stream = Stream.make ~input_fluents events in
-  match Engine.run ?carry ~event_description:ed ~knowledge ~stream ~from ~until () with
+  match Engine.run ?carry ~plan:(Engine.plan ed) ~knowledge ~stream ~from ~until () with
   | Ok result -> result
   | Error e -> Alcotest.failf "engine error: %s" e
 
@@ -169,7 +169,7 @@ let test_cycle_detection () =
   in
   let ed = [ Parser.parse_definition ~name:"cycle" source ] in
   match
-    Engine.run ~event_description:ed ~knowledge:Knowledge.empty
+    Engine.run ~plan:(Engine.plan ed) ~knowledge:Knowledge.empty
       ~stream:(Stream.make []) ~from:0 ~until:10 ()
   with
   | Ok _ -> Alcotest.fail "expected cycle error"
@@ -189,7 +189,7 @@ let test_mixed_kind_rejected () =
   in
   let ed = [ Parser.parse_definition ~name:"mixed" source ] in
   match
-    Engine.run ~event_description:ed ~knowledge:Knowledge.empty ~stream:(Stream.make [])
+    Engine.run ~plan:(Engine.plan ed) ~knowledge:Knowledge.empty ~stream:(Stream.make [])
       ~from:0 ~until:10 ()
   with
   | Ok _ -> Alcotest.fail "mixed fluent kinds must be rejected"

@@ -1,8 +1,10 @@
 (* The streaming service: out-of-order replay within the revision
    horizon converges bit-identically to the in-order batch run (maritime
-   and fleet scenarios, jobs 1 and 4, provenance on and off);
+   and fleet scenarios, jobs 1 and 4, provenance on and off), and every
+   tick's snapshot of a compiled session equals the interpreted one;
    beyond-horizon items are counted and dropped; idle entities are
-   evicted with their recognised history frozen in the result. *)
+   evicted with their recognised history frozen in the result; a session
+   compiles once and again only after a trim. *)
 
 open Rtec
 module Service = Runtime.Service
@@ -54,46 +56,54 @@ let rec chunks n = function
     let chunk, rest = take n [] items in
     chunk :: chunks n rest
 
-(* Replay the stream out of order against a live service: input fluents
-   first (timeless inputs), then events in perturbed delivery order in
-   small batches, ticking on watermark progress, and a final drain. *)
-let replay ~jobs ~compile ~horizon ~event_description ~knowledge ~stream () =
-  let svc =
+(* Replay the stream out of order against two live services in
+   lockstep, one compiled and one interpreted: input fluents first
+   (timeless inputs), then events in perturbed delivery order in small
+   batches, ticking on watermark progress, and a final drain. Every
+   tick's snapshot — what an [--emit ticks] client sees — must be the
+   same from both; the compiled drain result is returned. *)
+let replay ~jobs ~horizon ~event_description ~knowledge ~stream () =
+  let service compile =
     Service.create
       ~config:(Service.config ~window:3600 ~step:1800 ~jobs ~compile ~horizon ())
       ~event_description ~knowledge ()
   in
-  Service.ingest svc
-    (List.map (fun (fv, spans) -> Stream.Fluent (fv, spans)) (Stream.input_fluents stream));
+  let compiled = service true and interpreted = service false in
+  let ingest items = List.iter (fun svc -> Service.ingest svc items) [ compiled; interpreted ] in
+  let step what f =
+    match (f compiled, f interpreted) with
+    | Ok (c : Service.result), Ok (i : Service.result) ->
+      let snapshot = exact (Lazy.force c.intervals) in
+      if snapshot <> exact (Lazy.force i.intervals) then
+        Alcotest.failf "%s: compiled and interpreted snapshots differ" what;
+      (snapshot, c.stats)
+    | Error e, _ | _, Error e -> Alcotest.failf "%s failed: %s" what e
+  in
+  ingest (List.map (fun (fv, spans) -> Stream.Fluent (fv, spans)) (Stream.input_fluents stream));
   let last_tick = ref None in
   List.iter
     (fun chunk ->
-      Service.ingest svc (List.map (fun e -> Stream.Event e) chunk);
-      match Service.watermark svc with
-      | Some wm
-        when (match !last_tick with None -> true | Some t -> wm >= t + 1800) -> (
-        match Service.tick svc ~now:wm with
-        | Ok _ -> last_tick := Some wm
-        | Error e -> Alcotest.failf "tick failed: %s" e)
+      ingest (List.map (fun e -> Stream.Event e) chunk);
+      match Service.watermark compiled with
+      | Some wm when (match !last_tick with None -> true | Some t -> wm >= t + 1800) ->
+        ignore (step (Printf.sprintf "tick %d" wm) (fun svc -> Service.tick svc ~now:wm));
+        last_tick := Some wm
       | _ -> ())
     (chunks 64 (out_of_order_events ~amount:1500 stream));
-  match Service.drain svc with
-  | Ok (r : Service.result) -> (exact (Lazy.force r.intervals), r.stats)
-  | Error e -> Alcotest.failf "drain failed: %s" e
+  step "drain" Service.drain
 
 let check_convergence ~name ~event_description ~knowledge ~stream =
   List.iter
-    (fun (jobs, compile) ->
-      let expected = batch ~jobs ~compile ~event_description ~knowledge ~stream () in
+    (fun jobs ->
+      let expected = batch ~jobs ~compile:true ~event_description ~knowledge ~stream () in
       Alcotest.(check bool)
         (Printf.sprintf "%s: batch recognises something" name)
         true (expected <> []);
       let streamed, stats =
-        replay ~jobs ~compile ~horizon:3600 ~event_description ~knowledge ~stream ()
+        replay ~jobs ~horizon:3600 ~event_description ~knowledge ~stream ()
       in
       Alcotest.(check bool)
-        (Printf.sprintf "%s: jobs=%d compile=%b out-of-order replay == batch" name jobs
-           compile)
+        (Printf.sprintf "%s: jobs=%d out-of-order replay == batch" name jobs)
         true (streamed = expected);
       Alcotest.(check bool)
         (Printf.sprintf "%s: jobs=%d replay was actually out of order" name jobs)
@@ -105,7 +115,7 @@ let check_convergence ~name ~event_description ~knowledge ~stream =
       Alcotest.(check bool)
         (Printf.sprintf "%s: jobs=%d ingestion used instrumented appends" name jobs)
         true (stats.Service.appends > 0))
-    [ (1, true); (4, true); (1, false) ]
+    [ 1; 4 ]
 
 let with_provenance f =
   Derivation.reset ();
@@ -141,12 +151,16 @@ let test_convergence_provenance () =
       ~stream:data.stream ()
   in
   with_provenance (fun () ->
-      let streamed, _ =
-        replay ~jobs:1 ~compile:true ~horizon:3600 ~event_description:ed
-          ~knowledge:data.knowledge ~stream:data.stream ()
-      in
-      Alcotest.(check bool)
-        "provenance-on replay == provenance-off batch" true (streamed = expected);
+      List.iter
+        (fun jobs ->
+          let streamed, _ =
+            replay ~jobs ~horizon:3600 ~event_description:ed ~knowledge:data.knowledge
+              ~stream:data.stream ()
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "jobs=%d provenance-on replay == provenance-off batch" jobs)
+            true (streamed = expected))
+        [ 1; 4 ];
       Alcotest.(check bool)
         "revision replays were recorded" true
         ((Derivation.stats ()).Derivation.records > 0))
@@ -225,6 +239,53 @@ let test_ttl_eviction () =
       "evicted history stays frozen in the result" true
       (exact (Lazy.force r.intervals) = small_batch all)
 
+(* --- one compile per session, a fresh one per trim --- *)
+
+let stop_ed =
+  [
+    Parser.parse_definition ~name:"stop"
+      "initiatedAt(stopped(V) = true, T) :- happensAt(stop_start(V), T).\n\
+       terminatedAt(stopped(V) = true, T) :- happensAt(stop_end(V), T).";
+  ]
+
+(* [window.compiles] over five vessels that never interact, each
+   reporting once per quarter hour for 12 h, ticked at every step
+   boundary and drained. *)
+let compiles ~horizon =
+  let svc =
+    Service.create
+      ~config:(Service.config ~window:3600 ~step:1800 ~horizon ())
+      ~event_description:stop_ed ~knowledge:Knowledge.empty ()
+  in
+  Telemetry.Metrics.reset ();
+  Telemetry.Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.Metrics.disable ();
+      Telemetry.Metrics.reset ())
+    (fun () ->
+      let ok what = function Ok _ -> () | Error e -> Alcotest.failf "%s failed: %s" what e in
+      for k = 0 to 47 do
+        let t = k * 900 in
+        if k > 0 && t mod 1800 = 0 then ok "tick" (Service.tick svc ~now:t);
+        Service.ingest svc
+          (List.init 5 (fun v ->
+               let kind = if (k + v) land 1 = 0 then "stop_start" else "stop_end" in
+               Stream.Event (event kind (Printf.sprintf "v%d" v) (t + (60 * v)))))
+      done;
+      ok "drain" (Service.drain svc);
+      Option.value ~default:0
+        (Telemetry.Metrics.find_counter (Telemetry.Metrics.snapshot ()) "window.compiles"))
+
+(* Streams that only grow refresh the compiled program, whatever the
+   number of ticks; a trim ([horizon > 0]) compiles afresh, so the
+   intern table forgets the trimmed history. *)
+let test_compiles_per_session () =
+  Alcotest.(check int) "horizon 0: one compile per vessel" 5 (compiles ~horizon:0);
+  let trimmed = compiles ~horizon:1800 in
+  if trimmed <= 5 then
+    Alcotest.failf "horizon 1800: %d compiles, expected a fresh compile per trim" trimmed
+
 let suite =
   [
     Alcotest.test_case "out-of-order replay == batch (maritime)" `Quick
@@ -237,4 +298,6 @@ let suite =
       test_beyond_horizon_drops;
     Alcotest.test_case "idle entities are evicted, history frozen" `Quick
       test_ttl_eviction;
+    Alcotest.test_case "one compile per session, a fresh one per trim" `Quick
+      test_compiles_per_session;
   ]
