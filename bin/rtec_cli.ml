@@ -2,9 +2,10 @@
 
    - [recognise] loads an event description, background knowledge and an
      event stream from files and prints the recognised maximal intervals;
-   - [serve] runs a long-lived recognition session over a live feed
-     (stdin, or several concurrent TCP connections multiplexed into one
-     evaluator), with out-of-order revision and periodic emission;
+   - [serve] runs a long-lived recognition session ([Runtime.Server])
+     over stdin/stdout or several concurrent TCP connections multiplexed
+     into one evaluator, with out-of-order revision and periodic
+     emission;
    - [feed] is the matching line-stream TCP client (send a file,
      half-close, print the server's emissions);
    - [check] parses an event description and reports diagnostics;
@@ -110,7 +111,23 @@ let telemetry_write = telemetry_flush
 (* --- recognition flags shared by [recognise] and [serve] ---
 
    One reusable Cmdliner term, so the two subcommands cannot drift: the
-   same flag names, docs and defaults by construction. *)
+   same flag names, docs and defaults by construction. [check] shares
+   the positional description, [explain] the knowledge/window/step
+   flags. *)
+
+let ed_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"EVENT_DESCRIPTION")
+
+let kb_arg =
+  Arg.(value & opt (some file) None & info [ "knowledge"; "k" ] ~docv:"FILE"
+         ~doc:"Background knowledge facts.")
+
+let window_arg =
+  Arg.(value & opt (some int) None & info [ "window"; "w" ] ~docv:"SECONDS"
+         ~doc:"Sliding window size; omit for a single query over the whole stream.")
+
+let step_arg =
+  Arg.(value & opt (some int) None & info [ "step"; "s" ] ~docv:"SECONDS"
+         ~doc:"Query step (defaults to the window size).")
 
 type recognition_flags = {
   knowledge : string option;
@@ -122,18 +139,6 @@ type recognition_flags = {
 }
 
 let recognition_flags =
-  let kb_arg =
-    Arg.(value & opt (some file) None & info [ "knowledge"; "k" ] ~docv:"FILE"
-           ~doc:"Background knowledge facts.")
-  in
-  let window_arg =
-    Arg.(value & opt (some int) None & info [ "window"; "w" ] ~docv:"SECONDS"
-           ~doc:"Sliding window size; omit for a single query over the whole stream.")
-  in
-  let step_arg =
-    Arg.(value & opt (some int) None & info [ "step"; "s" ] ~docv:"SECONDS"
-           ~doc:"Query step (defaults to the window size).")
-  in
   let jobs_arg =
     Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
            ~doc:"Worker domains, at most one per core. recognise also groups \
@@ -196,20 +201,9 @@ let load_knowledge = function
   | None -> Rtec.Knowledge.empty
   | Some f -> Rtec.Knowledge.of_source (read_file f)
 
-let print_provenance_stats fmt =
-  let s = Rtec.Derivation.stats () in
-  Format.fprintf fmt
-    "%% provenance: %d records (%d evicted), %d/%d windows sampled, %d KiB retained@\n"
-    s.Rtec.Derivation.records s.Rtec.Derivation.evicted s.Rtec.Derivation.windows_sampled
-    (s.Rtec.Derivation.windows_sampled + s.Rtec.Derivation.windows_skipped)
-    (s.Rtec.Derivation.retained_words * (Sys.word_size / 8) / 1024)
-
 (* --- check --- *)
 
 let check_cmd =
-  let ed_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"EVENT_DESCRIPTION")
-  in
   let maritime_voc =
     Arg.(value & flag & info [ "maritime" ] ~doc:"Check against the maritime vocabulary.")
   in
@@ -235,9 +229,6 @@ let check_cmd =
 (* --- recognise --- *)
 
 let recognise_cmd =
-  let ed_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"EVENT_DESCRIPTION")
-  in
   (* One or more stream files: batches arriving separately (per-day
      dumps, per-source feeds) are folded into a single ordered stream
      with [Stream.of_batches] — each fold step is an instrumented
@@ -277,9 +268,9 @@ let recognise_cmd =
       exit 1
     | Ok (result, stats) ->
       telemetry_write ~trace ~metrics ~metrics_format;
-      Format.printf "%% %d queries, %d window-events, %d shard(s) on %d domain(s)@."
-        stats.queries stats.events_processed stats.shards stats.jobs;
-      if Option.is_some flags.provenance then print_provenance_stats Format.std_formatter;
+      let fmt = Format.std_formatter in
+      Runtime.Server.pp_summary fmt stats;
+      if Option.is_some flags.provenance then Runtime.Server.pp_provenance fmt ();
       let selected =
         match fluent with
         | None -> result
@@ -288,11 +279,8 @@ let recognise_cmd =
           | [ name; arity ] -> Rtec.Engine.find_fluent result (name, int_of_string arity)
           | _ -> failwith "expected NAME/ARITY")
       in
-      List.iter
-        (fun ((f, v), spans) ->
-          Format.printf "holdsFor(%a = %a, %a).@." Rtec.Term.pp f Rtec.Term.pp v
-            Rtec.Interval.pp spans)
-        selected
+      Runtime.Server.pp_intervals fmt selected;
+      Format.pp_print_flush fmt ()
   in
   Cmd.v
     (Cmd.info "recognise"
@@ -304,156 +292,7 @@ let recognise_cmd =
 
 (* --- serve --- *)
 
-(* Backpressure instrumentation for the multi-client ingest queue: depth
-   is sampled at every push/pop (under the ring lock), blocked counts
-   pushes that found the ring full and had to wait for the evaluator,
-   dropped counts clients detached after a failed write or a mid-read
-   connection error. *)
-let m_ingest_blocked = Telemetry.Metrics.counter "service.ingest.blocked"
-let g_queue_depth = Telemetry.Metrics.gauge "service.ingest_queue.depth"
-let g_queue_hwm = Telemetry.Metrics.gauge "service.ingest_queue.depth_hwm"
-let m_clients_dropped = Telemetry.Metrics.counter "service.clients.dropped"
-
-(* The I/O halves of the stage-latency attribution: [decode] brackets
-   line → items decoding (on reader threads or the stdin loop), [emit]
-   brackets writing one emission to every live sink. The route and
-   evaluate stages are recorded inside [Runtime.Service]. *)
-let h_stage_decode = Telemetry.Metrics.histogram "service.stage.decode_us"
-let h_stage_emit = Telemetry.Metrics.histogram "service.stage.emit_us"
-
-(* Bounded multi-producer single-consumer ring: per-connection reader
-   threads push decoded ingestion messages, the evaluator (the main
-   thread) pops. A full ring blocks the producer, so backpressure
-   reaches a fast client through TCP flow control instead of growing the
-   heap without bound. *)
-module Ring = struct
-  type 'a t = {
-    buf : 'a option array;
-    mutable head : int;  (* next slot to pop *)
-    mutable len : int;
-    mutable hwm : int;  (* deepest the queue has ever been *)
-    lock : Mutex.t;
-    not_full : Condition.t;
-    not_empty : Condition.t;
-  }
-
-  let create capacity =
-    {
-      buf = Array.make capacity None;
-      head = 0;
-      len = 0;
-      hwm = 0;
-      lock = Mutex.create ();
-      not_full = Condition.create ();
-      not_empty = Condition.create ();
-    }
-
-  (* Sampled on both push and pop: [depth] is the instantaneous queue
-     length (so a post-run snapshot of it alone reads 0 — the evaluator
-     drains the ring), [depth_hwm] keeps the deepest point the queue
-     reached, which is the number a capacity decision actually needs. *)
-  let note_depth t =
-    if t.len > t.hwm then t.hwm <- t.len;
-    Telemetry.Metrics.set g_queue_depth (float_of_int t.len);
-    Telemetry.Metrics.set g_queue_hwm (float_of_int t.hwm)
-
-  let push t x =
-    Mutex.lock t.lock;
-    let cap = Array.length t.buf in
-    if t.len = cap then begin
-      Telemetry.Metrics.incr m_ingest_blocked;
-      while t.len = cap do
-        Condition.wait t.not_full t.lock
-      done
-    end;
-    t.buf.((t.head + t.len) mod cap) <- Some x;
-    t.len <- t.len + 1;
-    note_depth t;
-    Condition.signal t.not_empty;
-    Mutex.unlock t.lock
-
-  let pop t =
-    Mutex.lock t.lock;
-    while t.len = 0 do
-      Condition.wait t.not_empty t.lock
-    done;
-    let x = match t.buf.(t.head) with Some x -> x | None -> assert false in
-    t.buf.(t.head) <- None;
-    t.head <- (t.head + 1) mod Array.length t.buf;
-    t.len <- t.len - 1;
-    note_depth t;
-    Condition.signal t.not_full;
-    Mutex.unlock t.lock;
-    x
-
-  let depth t = Mutex.protect t.lock (fun () -> t.len)
-  let high_water t = Mutex.protect t.lock (fun () -> t.hwm)
-  let capacity t = Array.length t.buf
-end
-
-(* One message per protocol line, decoded on the reader thread (each
-   with its own {!Rtec.Io.Codec} so the atom memo persists across the
-   connection) — the evaluator never touches bytes. [Client_eof] carries
-   whether the connection ended cleanly or died mid-read. *)
-type serve_msg =
-  | Ingest of Rtec.Stream.item list
-  | Tick_at of int
-  | Bad_line of string
-  | Client_eof of { slot : int; dropped : bool }
-
-(* An emission target: stdout, or one client connection. A failed write
-   (EPIPE surfacing as [Sys_error] once SIGPIPE is ignored) marks the
-   sink dead and counts it in [service.clients.dropped]; the evaluator
-   carries on for the remaining clients. *)
-type sink = {
-  sink_id : int;
-  sink_oc : out_channel;
-  sink_fmt : Format.formatter;
-  mutable sink_live : bool;
-}
-
-let sink_of_channel sink_id oc =
-  { sink_id; sink_oc = oc; sink_fmt = Format.formatter_of_out_channel oc; sink_live = true }
-
-let ignore_sigpipe () =
-  (* A client that disconnects mid-emission must surface as a write
-     error ([EPIPE]/[Sys_error]) on its channel, not kill the process. *)
-  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ()
-
-(* Decode one trimmed protocol line into a queue message. *)
-let decode_line codec line =
-  match Scanf.sscanf_opt line "tick(%d)." (fun t -> t) with
-  | Some t -> Tick_at t
-  | None -> (
-    match Rtec.Io.Codec.items_of_string codec line with
-    | items -> Ingest items
-    | exception (Invalid_argument msg | Failure msg) -> Bad_line msg
-    | exception Rtec.Parser.Error { line; message } ->
-      Bad_line (Printf.sprintf "line %d: %s" line message)
-    | exception Rtec.Lexer.Error { line; message } ->
-      Bad_line (Printf.sprintf "line %d: %s" line message))
-
-let reader_thread ~slot ~ic ~queue =
-  let codec = Rtec.Io.Codec.create () in
-  let dropped = ref false in
-  (try
-     while true do
-       let line = String.trim (input_line ic) in
-       if line = "" || line.[0] = '%' then ()
-       else
-         Ring.push queue
-           (Telemetry.Metrics.time_us h_stage_decode (fun () ->
-                decode_line codec line))
-     done
-   with
-  | End_of_file -> ()
-  | Sys_error _ | Unix.Unix_error _ -> dropped := true);
-  Ring.push queue (Client_eof { slot; dropped = !dropped })
-
 let serve_cmd =
-  let ed_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"EVENT_DESCRIPTION")
-  in
   let horizon_arg =
     Arg.(value & opt int 0 & info [ "horizon" ] ~docv:"SECONDS"
            ~doc:"Revision horizon: accept an out-of-order event up to this far \
@@ -515,7 +354,6 @@ let serve_cmd =
     telemetry_setup ~trace ~metrics ~metrics_format;
     Telemetry.Log.set_level log_level;
     Option.iter Telemetry.Flight.arm flight_file;
-    Telemetry.Flight.record Session_start ();
     if clients < 1 then begin
       Telemetry.Log.error ~src:"serve" "--clients must be positive";
       exit 2
@@ -534,318 +372,37 @@ let serve_cmd =
              ~compile:(not flags.interpret) ~horizon ?ttl ())
         ~event_description:ed ~knowledge ()
     in
-    (* --- live introspection state shared with the admin endpoint --- *)
-    let serve_start_ns = Telemetry.Clock.now_ns () in
-    let last_activity = ref serve_start_ns in
-    let touch () = last_activity := Telemetry.Clock.now_ns () in
-    (* One slot per client connection ("waiting" → "streaming" → "eof" /
-       "dropped_read" / "dropped_write"); stdin mode has the one
-       implicit client. Plain string stores: the admin thread only ever
-       reads them, advisorily. *)
-    let client_states =
-      match listen with None -> [| "stdin" |] | Some _ -> Array.make clients "waiting"
+    let config =
+      {
+        Runtime.Server.tick_every;
+        emit;
+        provenance = Option.is_some flags.provenance;
+        admin_port;
+      }
     in
-    let set_client_state slot state =
-      if slot >= 0 && slot < Array.length client_states then
-        client_states.(slot) <- state
+    let source =
+      match listen with
+      | None -> Runtime.Server.Channels [ (stdin, stdout) ]
+      | Some port -> Runtime.Server.Listen { port; clients }
     in
-    (* Filled in by the TCP branch once the ingest ring exists. *)
-    let queue_probe : (unit -> int * int * int) option ref = ref None in
-    let admin =
-      match admin_port with
-      | None -> None
-      | Some p ->
-        (* A scrape target is only useful live: --admin-port implies
-           metrics collection even without a --metrics file. *)
-        Telemetry.Metrics.enable ();
-        let queue_json () =
-          match !queue_probe with
-          | None -> Telemetry.Json.Null
-          | Some probe ->
-            let depth, hwm, cap = probe () in
-            Telemetry.Json.Obj
-              [
-                ("depth", Telemetry.Json.Num (float_of_int depth));
-                ("depth_hwm", Telemetry.Json.Num (float_of_int hwm));
-                ("capacity", Telemetry.Json.Num (float_of_int cap));
-              ]
-        in
-        let healthz () =
-          let depth, _, cap =
-            match !queue_probe with None -> (0, 0, 0) | Some probe -> probe ()
-          in
-          let idle_ns =
-            Int64.to_int (Int64.sub (Telemetry.Clock.now_ns ()) !last_activity)
-          in
-          let saturated = cap > 0 && depth = cap in
-          (* Unhealthy only when the ingest queue is full AND the
-             evaluator has made no progress for 10s — saturation alone is
-             backpressure working as designed. *)
-          let stalled = saturated && idle_ns > 10_000_000_000 in
-          Telemetry.Admin.json
-            ~status:(if stalled then 503 else 200)
-            (Telemetry.Json.Obj
-               [
-                 ("status", Telemetry.Json.Str (if stalled then "stalled" else "ok"));
-                 ("queue_saturated", Telemetry.Json.Bool saturated);
-                 ("idle_ms", Telemetry.Json.Num (float_of_int idle_ns /. 1e6));
-               ])
-        in
-        let statusz () =
-          let st = Runtime.Service.stats svc in
-          let num i = Telemetry.Json.Num (float_of_int i) in
-          Telemetry.Admin.json
-            (Telemetry.Json.Obj
-               [
-                 ( "uptime_s",
-                   Telemetry.Json.Num
-                     (Int64.to_float
-                        (Int64.sub (Telemetry.Clock.now_ns ()) serve_start_ns)
-                     /. 1e9) );
-                 ( "watermark",
-                   match Runtime.Service.watermark svc with
-                   | None -> Telemetry.Json.Null
-                   | Some w -> num w );
-                 ( "stats",
-                   Telemetry.Json.Obj
-                     [
-                       ("queries", num st.queries);
-                       ("events_processed", num st.events_processed);
-                       ("buckets", num st.buckets);
-                       ("jobs", num st.jobs);
-                       ("appends", num st.appends);
-                       ("late_events", num st.late_events);
-                       ("dropped_late", num st.dropped_late);
-                       ("revisions", num st.revisions);
-                       ("entities_active", num st.entities_active);
-                       ("entities_evicted", num st.entities_evicted);
-                     ] );
-                 ("ingest_queue", queue_json ());
-                 ( "clients",
-                   Telemetry.Json.List
-                     (List.mapi
-                        (fun slot state ->
-                          Telemetry.Json.Obj
-                            [ ("slot", num slot); ("state", Telemetry.Json.Str state) ])
-                        (Array.to_list client_states)) );
-                 ("flight_recorded", num (Telemetry.Flight.total ()));
-               ])
-        in
-        let routes = function
-          | "/metrics" ->
-            Some
-              {
-                Telemetry.Admin.status = 200;
-                content_type = "text/plain; version=0.0.4";
-                body = Telemetry.Metrics.to_prometheus ();
-              }
-          | "/healthz" -> Some (healthz ())
-          | "/statusz" -> Some (statusz ())
-          | "/lastz" -> Some (Telemetry.Admin.json (Telemetry.Flight.to_json ()))
-          | _ -> None
-        in
-        (match Telemetry.Admin.start ~port:p ~routes with
-        | Ok a ->
-          Telemetry.Log.info ~src:"serve"
-            (Printf.sprintf "admin endpoint on 127.0.0.1:%d" (Telemetry.Admin.port a));
-          Some a
-        | Error e ->
-          Telemetry.Log.error ~src:"serve" e;
-          exit 2)
+    (* Live telemetry: refresh the --metrics snapshot at every tick, so a
+       scraper sees current counters while the session runs. *)
+    let on_tick () =
+      Option.iter
+        (match metrics_format with
+        | `Json -> Telemetry.Metrics.write
+        | `Prom -> Telemetry.Metrics.write_prometheus)
+        metrics
     in
-    let stop_admin () = Option.iter Telemetry.Admin.stop admin in
-    (* Run [f sink_fmt] against every live sink, detaching a sink whose
-       write fails instead of propagating — one gone client must not
-       take down the session for the others. The flush below is the only
-       one per emission: [f]'s lines end in [@\n], not [@.], so a
-       snapshot leaves in as few writes as the channel buffer allows
-       rather than one per line (a closed-loop client would otherwise
-       wait out a delayed ACK on every snapshot). *)
-    let emit_to sinks f =
-      Telemetry.Metrics.time_us h_stage_emit (fun () ->
-          List.iter
-            (fun s ->
-              if s.sink_live then
-                try
-                  f s.sink_fmt;
-                  Format.pp_print_flush s.sink_fmt ();
-                  flush s.sink_oc
-                with Sys_error _ | Unix.Unix_error _ ->
-                  s.sink_live <- false;
-                  Telemetry.Metrics.incr m_clients_dropped;
-                  Telemetry.Flight.record Client_drop ~a:s.sink_id ~b:1 ();
-                  set_client_state s.sink_id "dropped_write";
-                  Telemetry.Log.warn ~src:"serve" "client dropped (write failed)"
-                    ~fields:[ ("client", Telemetry.Log.Int s.sink_id) ])
-            sinks)
-    in
-    let emit_intervals fmt (r : Runtime.Service.result) =
-      List.iter
-        (fun ((f, v), spans) ->
-          Format.fprintf fmt "holdsFor(%a = %a, %a).@\n" Rtec.Term.pp f Rtec.Term.pp v
-            Rtec.Interval.pp spans)
-        (Lazy.force r.intervals)
-    in
-    (* Everything mode-independent: tick/auto-tick plumbing around the
-       ingest loop, then the final drain and summary. [loop] is the only
-       part stdin and TCP serving disagree on. *)
-    let session ~sinks ~cleanup ~loop =
-      let fail e =
-        cleanup ();
-        Telemetry.Log.error ~src:"serve" "recognition failed"
-          ~fields:[ ("error", Telemetry.Log.Str e) ];
-        exit 1
-      in
-      (* Live telemetry: refresh the --metrics snapshot at every tick, so
-         a scraper sees current counters while the service runs. *)
-      let snapshot_metrics () =
-        Option.iter
-          (match metrics_format with
-          | `Json -> Telemetry.Metrics.write
-          | `Prom -> Telemetry.Metrics.write_prometheus)
-          metrics
-      in
-      let last_tick = ref None in
-      let tick ~now =
-        touch ();
-        match Runtime.Service.tick svc ~now with
-        | Error e -> fail e
-        | Ok r ->
-          last_tick := Some now;
-          snapshot_metrics ();
-          if emit = `Ticks then
-            emit_to sinks (fun fmt ->
-                Format.fprintf fmt
-                  "%% tick %d: %d queries, %d entity shard(s), watermark %s@\n" now
-                  r.stats.queries r.stats.buckets
-                  (match r.watermark with None -> "-" | Some w -> string_of_int w);
-                emit_intervals fmt r)
-      in
-      let bad_line msg =
-        Telemetry.Flight.record Bad_line ~a:(String.length msg) ();
-        Telemetry.Log.warn ~src:"serve" "ignoring bad input line"
-          ~fields:[ ("error", Telemetry.Log.Str msg) ]
-      in
-      let ingest items =
-        touch ();
-        match Runtime.Service.ingest svc items with
-        | () -> (
-          match (tick_every, Runtime.Service.watermark svc) with
-          | Some n, Some wm
-            when (match !last_tick with None -> true | Some t -> wm >= t + n) ->
-            tick ~now:wm
-          | _ -> ())
-        | exception Invalid_argument msg -> bad_line msg
-      in
-      loop ~tick ~ingest ~bad_line;
-      (match Runtime.Service.drain svc with
-      | Error e -> fail e
-      | Ok r ->
-        telemetry_write ~trace ~metrics ~metrics_format;
-        let s = r.stats in
-        emit_to sinks (fun fmt ->
-            Format.fprintf fmt
-              "%% %d queries, %d window-events, %d shard(s) on %d domain(s)@\n" s.queries
-              s.events_processed s.buckets s.jobs;
-            Format.fprintf fmt
-              "%% %d appends, %d late events (%d dropped), %d revisions, %d active / %d \
-               evicted entities@\n"
-              s.appends s.late_events s.dropped_late s.revisions s.entities_active
-              s.entities_evicted;
-            if Option.is_some flags.provenance then print_provenance_stats fmt;
-            emit_intervals fmt r));
-      cleanup ();
-      Telemetry.Flight.record Session_end ()
-    in
-    match listen with
-    | None ->
-      (* Synchronous stdin serving: one long-lived codec, no threads. *)
-      let codec = Rtec.Io.Codec.create () in
-      session
-        ~sinks:[ sink_of_channel 0 stdout ]
-        ~cleanup:(fun () -> stop_admin ())
-        ~loop:(fun ~tick ~ingest ~bad_line ->
-          try
-            while true do
-              let line = String.trim (input_line stdin) in
-              if line = "" || line.[0] = '%' then ()
-              else
-                match
-                  Telemetry.Metrics.time_us h_stage_decode (fun () ->
-                      decode_line codec line)
-                with
-                | Tick_at t -> tick ~now:t
-                | Ingest items -> ingest items
-                | Bad_line msg -> bad_line msg
-                | Client_eof _ -> assert false
-            done
-          with End_of_file -> set_client_state 0 "eof")
-    | Some port ->
-      ignore_sigpipe ();
-      let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt sock Unix.SO_REUSEADDR true;
-      Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      Unix.listen sock clients;
-      Telemetry.Log.info ~src:"serve"
-        (Printf.sprintf "listening on 127.0.0.1:%d" port)
-        ~fields:[ ("clients", Telemetry.Log.Int clients) ];
-      let conns =
-        List.init clients (fun slot ->
-            let conn, _ = Unix.accept sock in
-            Telemetry.Flight.record Client_connect ~a:slot ();
-            set_client_state slot "streaming";
-            Telemetry.Log.info ~src:"serve" "client connected"
-              ~fields:[ ("client", Telemetry.Log.Int slot) ];
-            (slot, conn))
-      in
-      let sinks =
-        List.map (fun (slot, conn) -> sink_of_channel slot (Unix.out_channel_of_descr conn)) conns
-      in
-      let queue = Ring.create 1024 in
-      queue_probe :=
-        Some (fun () -> (Ring.depth queue, Ring.high_water queue, Ring.capacity queue));
-      let readers =
-        List.map
-          (fun (slot, conn) ->
-            let ic = Unix.in_channel_of_descr conn in
-            Thread.create (fun () -> reader_thread ~slot ~ic ~queue) ())
-          conns
-      in
-      (* No Thread.join in cleanup: on the normal path every reader has
-         already pushed its EOF (its last fd use) before the loop exits,
-         and on the failure path exit must not wait on a reader still
-         blocked in a read. *)
-      ignore readers;
-      session ~sinks
-        ~cleanup:(fun () ->
-          List.iter
-            (fun (_, conn) -> try Unix.close conn with Unix.Unix_error _ -> ())
-            conns;
-          (try Unix.close sock with Unix.Unix_error _ -> ());
-          stop_admin ())
-        ~loop:(fun ~tick ~ingest ~bad_line ->
-          let open_clients = ref clients in
-          while !open_clients > 0 do
-            match Ring.pop queue with
-            | Ingest items -> ingest items
-            | Tick_at t -> tick ~now:t
-            | Bad_line msg -> bad_line msg
-            | Client_eof { slot; dropped } ->
-              decr open_clients;
-              if dropped then begin
-                Telemetry.Metrics.incr m_clients_dropped;
-                Telemetry.Flight.record Client_drop ~a:slot ~b:0 ();
-                set_client_state slot "dropped_read";
-                Telemetry.Log.warn ~src:"serve" "client dropped (read failed)"
-                  ~fields:[ ("client", Telemetry.Log.Int slot) ]
-              end
-              else begin
-                Telemetry.Flight.record Client_eof ~a:slot ();
-                set_client_state slot "eof";
-                Telemetry.Log.debug ~src:"serve" "client finished sending"
-                  ~fields:[ ("client", Telemetry.Log.Int slot) ]
-              end
-          done)
+    match Runtime.Server.run ~config ~on_tick svc source with
+    | Ok () -> telemetry_write ~trace ~metrics ~metrics_format
+    | Error (Setup e) ->
+      Telemetry.Log.error ~src:"serve" e;
+      exit 2
+    | Error (Recognition e) ->
+      Telemetry.Log.error ~src:"serve" "recognition failed"
+        ~fields:[ ("error", Telemetry.Log.Str e) ];
+      exit 1
   in
   Cmd.v
     (Cmd.info "serve"
@@ -887,7 +444,9 @@ let feed_cmd =
   in
   let run port file log_level =
     Telemetry.Log.set_level log_level;
-    ignore_sigpipe ();
+    (* A server that hangs up mid-send must surface as a write error,
+       not kill the client. *)
+    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
     let conn = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     (try Unix.connect conn (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
      with Unix.Unix_error (e, _, _) ->
@@ -968,18 +527,6 @@ let explain_cmd =
   let gold_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"GOLD_ED") in
   let gen_arg = Arg.(required & pos 1 (some file) None & info [] ~docv:"GENERATED_ED") in
   let stream_arg = Arg.(required & pos 2 (some file) None & info [] ~docv:"STREAM") in
-  let kb_arg =
-    Arg.(value & opt (some file) None & info [ "knowledge"; "k" ] ~docv:"FILE"
-           ~doc:"Background knowledge facts.")
-  in
-  let window_arg =
-    Arg.(value & opt (some int) None & info [ "window"; "w" ] ~docv:"SECONDS"
-           ~doc:"Sliding window size; omit for a single query over the whole stream.")
-  in
-  let step_arg =
-    Arg.(value & opt (some int) None & info [ "step"; "s" ] ~docv:"SECONDS"
-           ~doc:"Query step (defaults to the window size).")
-  in
   let jobs_arg =
     Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
            ~doc:"Worker domains for each of the two recognition runs.")
@@ -1039,11 +586,7 @@ let explain_cmd =
         ]
     in
     let gold = parse_ed gold_file and generated = parse_ed gen_file in
-    let knowledge =
-      match kb_file with
-      | None -> Rtec.Knowledge.empty
-      | Some f -> Rtec.Knowledge.of_source (read_file f)
-    in
+    let knowledge = load_knowledge kb_file in
     let stream = Rtec.Io.stream_of_string (read_file stream_file) in
     let config = Runtime.config ?window ?step ~jobs () in
     (match (proof, proof_chrome) with

@@ -45,6 +45,21 @@ dune exec bin/rtec_cli.exe -- serve "$EXPLAIN_DIR/ds.ed" -k "$EXPLAIN_DIR/ds.kb"
 diff "$EXPLAIN_DIR/batch.out" "$EXPLAIN_DIR/serve.out" \
   || { echo "serve smoke: serve output diverges from recognise"; exit 1; }
 
+# Malformed-line serve smoke: after the stream's first line, insert an
+# unparsable line and a line holding a non-ground fact followed by a copy
+# of that first line. serve must ignore each of the two lines whole, so
+# the emitted intervals stay byte-identical to `recognise`.
+first=$(head -n 1 "$EXPLAIN_DIR/ds.stream")
+{
+  printf '%s\n' "$first" 'this is not a fact' "happensAt(gap_start(X), 0). $first"
+  tail -n +2 "$EXPLAIN_DIR/ds.stream"
+} > "$EXPLAIN_DIR/malformed.stream"
+dune exec bin/rtec_cli.exe -- serve "$EXPLAIN_DIR/ds.ed" -k "$EXPLAIN_DIR/ds.kb" \
+  -w 3600 -s 1800 --horizon 1800 --tick-every 1800 < "$EXPLAIN_DIR/malformed.stream" \
+  | grep -v '^%' > "$EXPLAIN_DIR/malformed.out"
+diff "$EXPLAIN_DIR/batch.out" "$EXPLAIN_DIR/malformed.out" \
+  || { echo "serve smoke: malformed lines changed the emitted intervals"; exit 1; }
+
 # Per-tick serve smoke: swap each adjacent pair of stream lines, so some
 # events arrive late and revise earlier windows, and require every tick
 # snapshot of the compiled session — `%` lines included — to be

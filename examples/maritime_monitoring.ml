@@ -29,7 +29,7 @@ let () =
   | Error e -> prerr_endline ("recognition failed: " ^ e)
   | Ok (result, stats) ->
     Format.printf "windowed run: %d queries, %d window-events, %d shard(s) on %d domain(s)@.@."
-      stats.queries stats.events_processed stats.shards stats.jobs;
+      stats.queries stats.events_processed stats.buckets stats.jobs;
     Format.printf "Composite maritime activities detected:@.";
     List.iter
       (fun (activity : Evaluation.Detection.activity) ->

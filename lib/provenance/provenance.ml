@@ -538,7 +538,7 @@ module Diff = struct
       match Runtime.run ~config ~event_description:generated ~knowledge ~stream () with
       | Error e -> Result.Error ("generated recognition: " ^ e)
       | Ok (gen_result, _) -> (
-        match config.Runtime.window with
+        match config.Runtime.Service.window with
         | None -> Ok Derivation.Always
         | Some w ->
           let spans_of result fv =

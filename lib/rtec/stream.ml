@@ -188,6 +188,13 @@ let check_fluents_ground ~ctx fluents =
         invalid_arg (ctx ^ ": input fluent is not ground"))
     fluents
 
+let check_items ~ctx items =
+  List.iter
+    (function
+      | Event e -> check_event_ground ~ctx e
+      | Fluent (fv, spans) -> check_fluents_ground ~ctx [ (fv, spans) ])
+    items
+
 let make ?(input_fluents = []) events =
   List.iter (check_event_ground ~ctx:"Stream.make") events;
   check_fluents_ground ~ctx:"Stream.make" input_fluents;

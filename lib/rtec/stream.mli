@@ -29,6 +29,10 @@ val of_items : item list -> t
 (** Builds a stream from a batch of ingestion items (events need not be
     sorted); same validation and dedup rules as {!make}. *)
 
+val check_items : ctx:string -> item list -> unit
+(** Raises [Invalid_argument] (prefixed with [ctx]) on the first
+    non-ground item: the check every constructor applies. *)
+
 val item_time : item -> int
 (** The time an item enters the timeline: the event's time-point, or the
     earliest span start of a fluent batch ([max_int] for an empty

@@ -1,12 +1,12 @@
 module Pool = Pool
 module Service = Service
+module Server = Server
 
-type config = { window : int option; step : int option; jobs : int; compile : bool }
+type config = Service.config
+type stats = Service.stats
 
-let default = { window = None; step = None; jobs = 1; compile = true }
-let config ?window ?step ?(jobs = 1) ?(compile = true) () = { window; step; jobs; compile }
-
-type stats = { queries : int; events_processed : int; shards : int; jobs : int }
+let config = Service.config
+let default = config ()
 
 let m_runs = Telemetry.Metrics.counter "runtime.runs"
 
@@ -23,22 +23,13 @@ let run ~config:(config : config) ~event_description ~knowledge ~stream () =
     Telemetry.Metrics.incr m_runs;
     let svc =
       Service.create
-        ~config:
-          (Service.config ?window:config.window ?step:config.step ~jobs:config.jobs
-             ~compile:config.compile ~horizon:0 ())
+        ~config:{ config with horizon = 0; ttl = None }
         ~event_description ~knowledge ()
     in
     Service.seed svc ~groups:config.jobs stream;
     let outcome =
       Result.map
-        (fun (r : Service.result) ->
-          ( Lazy.force r.intervals,
-            {
-              queries = r.stats.queries;
-              events_processed = r.stats.events_processed;
-              shards = r.stats.buckets;
-              jobs = r.stats.jobs;
-            } ))
+        (fun (r : Service.result) -> (Lazy.force r.intervals, r.stats))
         (Service.drain svc)
     in
     (* Recorder counters/gauges surface through the metrics registry

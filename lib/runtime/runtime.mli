@@ -36,41 +36,26 @@ module Pool : sig
       and spans land on the worker's own track. *)
 end
 
-type config = {
-  window : int option;
-      (** sliding-window size in time-points; [None] (the default) runs
-          a single query over the whole stream extent *)
-  step : int option;
-      (** query step; [None] (the default) means one window per step,
-          i.e. tumbling windows *)
-  jobs : int;
-      (** the number of entity groups to evaluate, and the upper bound
-          on worker-domain fan-out. The default [1] evaluates the whole
-          stream as one bucket in the calling domain, exactly like
-          [Window.run]. Fan-out is capped at
-          [Domain.recommended_domain_count ()] (domains beyond the
-          host's cores never help in OCaml 5: every minor collection
-          synchronises all domains); groups beyond the cap share the
-          granted domains. *)
-  compile : bool;
-      (** compile transition rules to closure chains over interned terms
-          ([Rtec.Compiled]); each bucket compiles its own program.
-          [false] forces the interpreter — the differential oracle;
-          results are bit-identical either way. Default [true]. *)
-}
+module Server = Server
+(** The serve pipeline: line-protocol connections feeding one evaluator
+    that drives a {!Service}, and the result printer. *)
+
+type config = Service.config
+(** The service's configuration record ({!Service.config}). {!run} reads
+    its window, step, jobs and compile fields and always runs with
+    horizon [0] and no TTL eviction. *)
 
 val default : config
-(** [{ window = None; step = None; jobs = 1; compile = true }] *)
+(** [config ()]: a single query over the whole stream, one job, compiled. *)
 
-val config : ?window:int -> ?step:int -> ?jobs:int -> ?compile:bool -> unit -> config
-(** [config ()] is {!default}; each argument overrides one field. *)
+val config :
+  ?window:int -> ?step:int -> ?jobs:int -> ?compile:bool -> ?horizon:int -> ?ttl:int ->
+  unit -> config
+(** {!Service.config}. *)
 
-type stats = {
-  queries : int;  (** query times processed, summed over buckets *)
-  events_processed : int;  (** window-events evaluated, summed over buckets *)
-  shards : int;  (** entity buckets actually run *)
-  jobs : int;  (** worker domains actually used *)
-}
+type stats = Service.stats
+(** The drained service's {!Service.stats}: [buckets] are the entity
+    buckets actually run, [jobs] the worker domains actually used. *)
 
 val run :
   config:config ->
@@ -90,6 +75,6 @@ val run :
     bit-identical to the sequential run. Streams that cannot be
     attributed to entities (an event with no entity key, or an event
     description with ground [initially] facts) run as a single bucket;
-    [stats.shards] reports what actually ran. Fails like [Window.run] on
+    [stats.buckets] reports what actually ran. Fails like [Window.run] on
     invalid window/step, on [jobs < 1], and on any bucket's engine error
     (the lowest-numbered bucket's error wins, deterministically). *)

@@ -404,6 +404,10 @@ let push_scratch touched b item =
   | Rtec.Stream.Fluent (fv, spans) -> b.scr_fluents <- (fv, spans) :: b.scr_fluents
 
 let ingest_batch svc items =
+  (* Validated whole before any item is routed: routing mutates keys,
+     buckets, the event extent and the late counters, so a batch
+     rejected halfway would leave the service corrupted. *)
+  Rtec.Stream.check_items ~ctx:"Service.ingest" items;
   let touched = ref [] in
   List.iter
     (fun item ->
@@ -491,9 +495,8 @@ let ingest_batch svc items =
 let ingest svc items =
   let late0 = svc.n_late and dropped0 = svc.n_dropped in
   Telemetry.Metrics.time_us h_stage_route (fun () -> ingest_batch svc items);
-  if Telemetry.Flight.is_enabled () then
-    Telemetry.Flight.record Ingest ~a:(List.length items)
-      ~b:(svc.n_late - late0) ~c:(svc.n_dropped - dropped0) ()
+  Telemetry.Flight.record Ingest ~a:(List.length items) ~b:(svc.n_late - late0)
+    ~c:(svc.n_dropped - dropped0) ()
 
 (* --- query scheduling and evaluation --- *)
 
@@ -778,11 +781,11 @@ let process_pass svc ~w ~s ~now qs =
         process_pass_inner svc ~w ~s ~now qs)
   in
   (match r with
-  | Ok res when Telemetry.Flight.is_enabled () ->
+  | Ok res ->
     Telemetry.Flight.record Tick
       ~a:(Option.value ~default:(-1) now)
       ~b:(List.length qs) ~c:res.stats.buckets ()
-  | _ -> ());
+  | Error _ -> ());
   r
 
 (* The unprocessed grid queries up to and including [until]. The grid is

@@ -44,8 +44,12 @@ type config = {
       (** upper bound on worker-domain fan-out per pass, further capped
           at [Domain.recommended_domain_count ()]: domains beyond the
           host's cores never help in OCaml 5, so surplus buckets share
-          the granted domains *)
-  compile : bool;  (** compile rule programs per bucket ({!Rtec.Compiled}) *)
+          the granted domains. [Runtime.run] also groups the stream's
+          entity components into this many buckets ({!seed}). *)
+  compile : bool;
+      (** compile rule programs per bucket ({!Rtec.Compiled}); [false]
+          forces the interpreter — the differential oracle, with
+          bit-identical results *)
   horizon : int;
       (** revision horizon in time-points: a late item is accepted and
           triggers re-evaluation iff it is newer than
@@ -118,7 +122,8 @@ val ingest : t -> Rtec.Stream.item list -> unit
     per-bucket reusable scratch arrays and each touched bucket flushes
     with one O(batch) {!Rtec.Stream.append_items} (index rebuilds are
     deferred to the next tick's first query). Raises [Invalid_argument]
-    on non-ground items. *)
+    on a non-ground item, before routing any item of the batch: a
+    rejected batch leaves the service exactly as it was. *)
 
 val tick : t -> now:int -> (result, string) Result.t
 (** Advance the query grid through every query time at or before [now]

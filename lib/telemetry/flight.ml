@@ -58,11 +58,6 @@ type event = { kind : kind; t_ns : int; a : int; b : int; c : int }
    write index wrapping. *)
 let width = 5
 
-let on = ref true
-let enable () = on := true
-let disable () = on := false
-let is_enabled () = !on
-
 let t0 = Clock.now_ns ()
 let since_start () = Int64.to_int (Int64.sub (Clock.now_ns ()) t0)
 
@@ -89,18 +84,16 @@ let reset () =
       next := 0)
 
 let record kind ?(a = 0) ?(b = 0) ?(c = 0) () =
-  if !on then begin
-    let t = since_start () in
-    Mutex.protect mutex (fun () ->
-        let base = !next mod !capacity * width in
-        let r = !ring in
-        r.(base) <- kind_code kind;
-        r.(base + 1) <- t;
-        r.(base + 2) <- a;
-        r.(base + 3) <- b;
-        r.(base + 4) <- c;
-        incr next)
-  end
+  let t = since_start () in
+  Mutex.protect mutex (fun () ->
+      let base = !next mod !capacity * width in
+      let r = !ring in
+      r.(base) <- kind_code kind;
+      r.(base + 1) <- t;
+      r.(base + 2) <- a;
+      r.(base + 3) <- b;
+      r.(base + 4) <- c;
+      incr next)
 
 let total () = !next
 

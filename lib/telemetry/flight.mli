@@ -32,13 +32,6 @@ type kind =
 type event = { kind : kind; t_ns : int; a : int; b : int; c : int }
 (** [t_ns] is monotonic nanoseconds since process start. *)
 
-val enable : unit -> unit
-val disable : unit -> unit
-
-val is_enabled : unit -> bool
-(** Enabled by default — the recorder exists for the session nobody knew
-    would need a post-mortem. Disable only to measure its overhead. *)
-
 val record : kind -> ?a:int -> ?b:int -> ?c:int -> unit -> unit
 
 val set_capacity : int -> unit

@@ -95,7 +95,7 @@ let test_sampling_determinism () =
     sampled_queries ~jobs ~sampling ~event_description:ed ~knowledge ~stream ()
   in
   let full_stats, full_rec, full_qs = run ~jobs:1 ~sampling:Derivation.Always () in
-  Alcotest.(check int) "Always samples every window" full_stats.Runtime.queries
+  Alcotest.(check int) "Always samples every window" full_stats.Runtime.Service.queries
     full_rec.Derivation.windows_sampled;
   Alcotest.(check int) "and skips none" 0 full_rec.Derivation.windows_skipped;
   (* Find a seed whose 1-in-3 subset is proper, so the assertions below
@@ -121,7 +121,7 @@ let test_sampling_determinism () =
   Alcotest.(check int) "same seed, same counts" rec1.Derivation.windows_sampled
     rec2.Derivation.windows_sampled;
   Alcotest.(check int) "every window decided"
-    (full_stats.Runtime.queries)
+    (full_stats.Runtime.Service.queries)
     (rec1.Derivation.windows_sampled + rec1.Derivation.windows_skipped);
   Alcotest.(check bool) "proper subset" true
     (List.length qs1 < List.length full_qs && qs1 <> []);

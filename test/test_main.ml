@@ -16,6 +16,7 @@ let () =
       ("compiled", Test_compiled.suite);
       ("runtime", Test_runtime.suite);
       ("service", Test_service.suite);
+      ("server", Test_server.suite);
       ("adg", Test_adg.suite);
       ("evaluation", Test_evaluation.suite);
       ("telemetry", Test_telemetry.suite);

@@ -1,7 +1,7 @@
 (* Unit tests for the live-introspection plane: the leveled structured
    logger (level floor, human and JSON-lines sinks), the bounded flight
-   recorder (ring wrap, disable gate, JSON dump) and the admin HTTP
-   endpoint (route dispatch, error statuses, clean stop). *)
+   recorder (ring wrap, JSON dump) and the admin HTTP endpoint (route
+   dispatch, error statuses, clean stop). *)
 
 open Telemetry
 
@@ -96,14 +96,9 @@ let test_log_json_lines () =
 
 (* --- flight recorder --- *)
 
-(* The recorder is process-global and enabled by default; tests shrink
-   the ring, then restore the default capacity (which also clears it). *)
-let flight_scoped f =
-  Fun.protect
-    ~finally:(fun () ->
-      Flight.enable ();
-      Flight.set_capacity 4096)
-    f
+(* The recorder is process-global; tests shrink the ring, then restore
+   the default capacity (which also clears it). *)
+let flight_scoped f = Fun.protect ~finally:(fun () -> Flight.set_capacity 4096) f
 
 let test_flight_ring_wrap () =
   flight_scoped (fun () ->
@@ -122,15 +117,6 @@ let test_flight_ring_wrap () =
            | _ -> true
          in
          ordered evs))
-
-let test_flight_disable () =
-  flight_scoped (fun () ->
-      Flight.set_capacity 8;
-      Flight.record Flight.Ingest ~a:1 ();
-      Flight.disable ();
-      Flight.record Flight.Ingest ~a:2 ();
-      Flight.enable ();
-      Alcotest.(check int) "disabled records are dropped" 1 (Flight.total ()))
 
 let test_flight_json_dump () =
   flight_scoped (fun () ->
@@ -295,7 +281,6 @@ let suite =
     Alcotest.test_case "log human rendering" `Quick test_log_human_fields;
     Alcotest.test_case "log JSON-lines sink" `Quick test_log_json_lines;
     Alcotest.test_case "flight ring wraps, keeps newest" `Quick test_flight_ring_wrap;
-    Alcotest.test_case "flight disable gates recording" `Quick test_flight_disable;
     Alcotest.test_case "flight JSON dump" `Quick test_flight_json_dump;
     Alcotest.test_case "flight file write" `Quick test_flight_write_file;
     Alcotest.test_case "admin routes and statuses" `Quick test_admin_routes;

@@ -222,7 +222,7 @@ let check_differential ~name ~event_description ~knowledge ~stream =
       let sharded, stats = recognise ~jobs ~event_description ~knowledge ~stream () in
       Alcotest.(check bool)
         (Printf.sprintf "%s: jobs=%d actually sharded" name jobs)
-        true (stats.Runtime.shards > 1);
+        true (stats.Runtime.Service.buckets > 1);
       Alcotest.(check bool)
         (Printf.sprintf "%s: jobs=%d bit-identical to sequential" name jobs)
         true
@@ -250,7 +250,7 @@ let check_differential ~name ~event_description ~knowledge ~stream =
               (List.for_all (fun tid -> 0 <= tid && tid < granted) tids);
             Alcotest.(check int)
               (Printf.sprintf "%s: jobs=%d one window.query span per query" name jobs)
-              stats.Runtime.queries (List.length tids);
+              stats.Runtime.Service.queries (List.length tids);
             Alcotest.(check bool)
               (Printf.sprintf "%s: jobs=%d worker metrics merged at join" name jobs)
               true
@@ -337,7 +337,7 @@ let test_sequential_matches_window_run () =
         ~config:(Runtime.config ~window:3600 ~step:1800 ())
         ~event_description:ed ~knowledge:data.knowledge ~stream:data.stream ()
     with
-    | Ok (r, s) -> (exact r, s.Runtime.queries, s.Runtime.events_processed)
+    | Ok (r, s) -> (exact r, s.Runtime.Service.queries, s.Runtime.Service.events_processed)
     | Error e -> Alcotest.failf "Runtime.run failed: %s" e
   in
   Alcotest.(check bool) "jobs=1 facade is exactly Window.run" true (via_window = via_runtime)
@@ -346,7 +346,7 @@ let test_config_validation () =
   let stream = Stream.make [ { Stream.time = 1; term = Term.app "e" [ Term.Atom "x" ] } ] in
   (match
      Runtime.run
-       ~config:{ Runtime.default with jobs = 0 }
+       ~config:{ Runtime.default with Runtime.Service.jobs = 0 }
        ~event_description:[] ~knowledge:Knowledge.empty ~stream ()
    with
   | Error _ -> ()

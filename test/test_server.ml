@@ -1,0 +1,352 @@
+(* The serve pipeline in-process: [Runtime.Server] over pipe pairs, the
+   same reader → ring → evaluator path [rtec_cli serve] runs on stdin or
+   TCP. Two connections merge into the batch answer; a consumer that
+   stops reading saturates the ring without losing a tick; a connection
+   whose output is closed is dropped while the other still gets
+   everything; bad lines leave only a warning and a flight record; the
+   admin routes answer mid-session. Every wait polls with a deadline. *)
+
+open Rtec
+module Server = Runtime.Server
+module Service = Runtime.Service
+
+let deadline_s = 30.
+
+let poll what ready =
+  let limit = Unix.gettimeofday () +. deadline_s in
+  while not (ready ()) do
+    if Unix.gettimeofday () > limit then Alcotest.failf "timed out waiting for %s" what;
+    Thread.delay 0.001
+  done
+
+(* Run [f] on its own thread; [await] polls for its outcome and re-raises
+   what it raised. *)
+let spawn f =
+  let cell = ref None in
+  ignore (Thread.create (fun () -> cell := Some (try Ok (f ()) with e -> Error e)) ());
+  cell
+
+let await what cell =
+  poll what (fun () -> Option.is_some !cell);
+  match !cell with Some (Ok x) -> x | Some (Error e) -> raise e | None -> assert false
+
+(* One connection: the server reads [server_in] and writes [server_out];
+   the test writes the other end of the first pipe and reads the other
+   end of the second. *)
+type conn = {
+  send : out_channel;
+  recv : in_channel;
+  server_in : in_channel;
+  server_out : out_channel;
+}
+
+let conn () =
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  {
+    send = Unix.out_channel_of_descr in_w;
+    recv = Unix.in_channel_of_descr out_r;
+    server_in = Unix.in_channel_of_descr in_r;
+    server_out = Unix.out_channel_of_descr out_w;
+  }
+
+(* Start a session on its own thread. The server leaves caller-owned
+   channels open, so the thread closes the server's ends once [run]
+   returns: that is the EOF the test's readers wait for. *)
+let serve ~config svc conns =
+  spawn (fun () ->
+      let chans = List.map (fun c -> (c.server_in, c.server_out)) conns in
+      let outcome = Server.run ~config svc (Server.Channels chans) in
+      List.iter
+        (fun c ->
+          close_out_noerr c.server_out;
+          close_in_noerr c.server_in)
+        conns;
+      outcome)
+
+let finish cell =
+  match await "the session to end" cell with
+  | Ok () -> ()
+  | Error (Server.Setup e | Server.Recognition e) -> Alcotest.failf "session failed: %s" e
+
+let send c text =
+  spawn (fun () ->
+      output_string c.send text;
+      close_out c.send)
+
+let collect c = spawn (fun () -> In_channel.input_all c.recv)
+
+let non_comment output =
+  String.concat ""
+    (List.filter_map
+       (fun l -> if l = "" || l.[0] = '%' then None else Some (l ^ "\n"))
+       (String.split_on_char '\n' output))
+
+let contains s needle =
+  let n = String.length needle in
+  let rec go i = i + n <= String.length s && (String.sub s i n = needle || go (i + 1)) in
+  go 0
+
+let counter name =
+  Option.value ~default:0
+    (Telemetry.Metrics.find_counter (Telemetry.Metrics.snapshot ()) name)
+
+let with_metrics f =
+  Telemetry.Metrics.enable ();
+  Fun.protect ~finally:Telemetry.Metrics.disable f
+
+(* --- the maritime scenario --- *)
+
+let data =
+  lazy
+    (Maritime.Dataset.generate ~config:{ Maritime.Dataset.seed = 99; replicas = 1; nominal = 2 } ())
+
+let stream_lines () =
+  let text = Io.stream_to_string (Lazy.force data).stream in
+  List.filter (fun l -> l <> "") (String.split_on_char '\n' text)
+
+let lines_text lines = String.concat "" (List.map (fun l -> l ^ "\n") lines)
+
+let maritime_service ?(horizon = 0) () =
+  Service.create
+    ~config:(Service.config ~window:3600 ~step:1800 ~horizon ())
+    ~event_description:Maritime.Gold.event_description ~knowledge:(Lazy.force data).knowledge ()
+
+let batch_text () =
+  let d = Lazy.force data in
+  match
+    Runtime.run
+      ~config:(Runtime.config ~window:3600 ~step:1800 ())
+      ~event_description:Maritime.Gold.event_description ~knowledge:d.knowledge ~stream:d.stream ()
+  with
+  | Ok (result, _) -> Format.asprintf "%a" Server.pp_intervals result
+  | Error e -> Alcotest.failf "batch recognition failed: %s" e
+
+(* Each connection sends half the stream. Without auto-ticks nothing is
+   evaluated before the final drain, so however the halves interleave,
+   both connections receive exactly the batch answer. *)
+let test_two_connections () =
+  let lines = stream_lines () in
+  let half = List.length lines / 2 in
+  let first = List.filteri (fun i _ -> i < half) lines
+  and second = List.filteri (fun i _ -> i >= half) lines in
+  let a = conn () and b = conn () in
+  let session = serve ~config:Server.default (maritime_service ()) [ a; b ] in
+  let out_a = collect a and out_b = collect b in
+  ignore (send a (lines_text first));
+  ignore (send b (lines_text second));
+  finish session;
+  let expected = batch_text () in
+  Alcotest.(check bool) "batch recognises something" true (expected <> "");
+  Alcotest.(check string) "first connection gets the batch answer" expected
+    (non_comment (await "output 1" out_a));
+  Alcotest.(check string) "second connection gets the batch answer" expected
+    (non_comment (await "output 2" out_b))
+
+(* --- a consumer that stops reading --- *)
+
+let small_ed =
+  [
+    Parser.parse_definition ~name:"svc"
+      "initiatedAt(active(V) = true, T) :- happensAt(start(V), T).\n\
+       terminatedAt(active(V) = true, T) :- happensAt(stop(V), T).";
+  ]
+
+let small_service () =
+  Service.create
+    ~config:(Service.config ~window:10 ~step:10 ())
+    ~event_description:small_ed ~knowledge:Knowledge.empty ()
+
+(* 1,500 [% tick] headers alone overfill a 64 KiB pipe, so the evaluator
+   blocks on its write while the reader keeps decoding: the ring must
+   fill and block the reader. Once the test starts reading, every tick
+   must still come out. *)
+let test_slow_consumer () =
+  with_metrics (fun () ->
+      let blocked0 = counter "service.ingest.blocked" in
+      let input =
+        String.concat ""
+          (List.init 1500 (fun i -> Printf.sprintf "tick(%d).\n" (i + 1))
+          @ List.init 2000 (fun i ->
+                Printf.sprintf "happensAt(%s(v1), %d).\n"
+                  (if i land 1 = 0 then "start" else "stop")
+                  (1501 + i)))
+      in
+      let c = conn () in
+      let session = serve ~config:{ Server.default with emit = `Ticks } (small_service ()) [ c ] in
+      ignore (send c input);
+      poll "the ingest ring to block a reader" (fun () ->
+          counter "service.ingest.blocked" > blocked0);
+      let out = collect c in
+      finish session;
+      let ticks =
+        List.filter
+          (fun l -> String.length l > 7 && String.sub l 0 7 = "% tick ")
+          (String.split_on_char '\n' (await "output" out))
+      in
+      Alcotest.(check int) "every tick emitted" 1500 (List.length ticks))
+
+(* --- a dropped connection, and the admin plane --- *)
+
+let free_port () =
+  let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close s)
+    (fun () ->
+      Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      match Unix.getsockname s with Unix.ADDR_INET (_, p) -> p | _ -> assert false)
+
+let get port path =
+  let r = Test_observability.http_request port ~meth:"GET" ~path in
+  (Test_observability.status_of r, Test_observability.body_of r)
+
+let json what body =
+  match Telemetry.Json.of_string body with
+  | Ok doc -> doc
+  | Error e -> Alcotest.failf "%s is not JSON (%s): %s" what e body
+
+(* /statusz as JSON; [None] until the session has started its endpoint. *)
+let statusz port =
+  match get port "/statusz" with
+  | _, body -> Some (json "/statusz" body)
+  | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> None
+
+let client_state port slot =
+  let ( let* ) = Option.bind in
+  let* doc = statusz port in
+  let* clients = Option.bind (Telemetry.Json.member "clients" doc) Telemetry.Json.list in
+  Option.bind (Telemetry.Json.member "state" (List.nth clients slot)) Telemetry.Json.str
+
+(* The second connection's output is closed before anything is written
+   to it. The first emission — a tick snapshot — fails on it: that
+   connection is dropped, counted once and reported as [dropped_write]
+   while the session is still live; the first connection then streams
+   the whole stream and still receives the full answer. *)
+let test_dropped_connection () =
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe sigpipe) @@ fun () ->
+  with_metrics (fun () ->
+      let dropped0 = counter "service.clients.dropped" in
+      let port = free_port () in
+      let a = conn () and b = conn () in
+      close_in b.recv;
+      let session =
+        serve
+          ~config:{ Server.default with emit = `Ticks; admin_port = Some port }
+          (maritime_service ()) [ a; b ]
+      in
+      let out_a = collect a in
+      output_string a.send "tick(0).\n";
+      flush a.send;
+      poll "the closed connection to read dropped_write" (fun () ->
+          client_state port 1 = Some "dropped_write");
+      ignore (send a (lines_text (stream_lines ())));
+      close_out b.send;
+      finish session;
+      Alcotest.(check int) "one client dropped" 1 (counter "service.clients.dropped" - dropped0);
+      Alcotest.(check string) "the live connection gets the batch answer" (batch_text ())
+        (non_comment (await "output" out_a)))
+
+(* All four routes answer while a session waits on its connection. *)
+let test_admin_routes () =
+  let port = free_port () in
+  let c = conn () in
+  let session =
+    serve ~config:{ Server.default with admin_port = Some port } (small_service ()) [ c ]
+  in
+  let out = collect c in
+  output_string c.send "happensAt(start(v1), 3).\n";
+  flush c.send;
+  poll "the line to be ingested" (fun () ->
+      match Option.bind (statusz port) (Telemetry.Json.member "watermark") with
+      | Some (Telemetry.Json.Num 3.) -> true
+      | _ -> false);
+  let status, body = get port "/metrics" in
+  Alcotest.(check int) "/metrics answers" 200 status;
+  Alcotest.(check bool) "/metrics exposes the ring gauge" true
+    (contains body "service_ingest_queue_depth_hwm");
+  let status, body = get port "/healthz" in
+  Alcotest.(check int) "/healthz answers" 200 status;
+  Alcotest.(check (option string)) "/healthz is ok" (Some "ok")
+    (Option.bind (Telemetry.Json.member "status" (json "/healthz" body)) Telemetry.Json.str);
+  let status, body = get port "/statusz" in
+  Alcotest.(check int) "/statusz answers" 200 status;
+  Alcotest.(check (option (float 0.))) "/statusz reports the ring capacity" (Some 1024.)
+    (Option.bind
+       (Telemetry.Json.member "ingest_queue" (json "/statusz" body))
+       (fun q -> Option.bind (Telemetry.Json.member "capacity" q) Telemetry.Json.num));
+  Alcotest.(check (option string)) "/statusz reports the live connection" (Some "streaming")
+    (client_state port 0);
+  let status, body = get port "/lastz" in
+  Alcotest.(check int) "/lastz answers" 200 status;
+  Alcotest.(check (option string)) "/lastz is a flight dump" (Some "adg-flight/1")
+    (Option.bind (Telemetry.Json.member "schema" (json "/lastz" body)) Telemetry.Json.str);
+  close_out c.send;
+  finish session;
+  ignore (await "output" out)
+
+(* --- bad lines --- *)
+
+let with_log_file f =
+  let tmp = Filename.temp_file "adg_server_log" ".txt" in
+  let oc = open_out tmp in
+  Telemetry.Log.set_human (Some oc);
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.Log.set_human (Some stderr);
+      close_out_noerr oc;
+      Sys.remove tmp)
+    (fun () ->
+      let x = f () in
+      flush oc;
+      (x, In_channel.with_open_bin tmp In_channel.input_all))
+
+let bad_line_records () =
+  List.length
+    (List.filter
+       (fun (e : Telemetry.Flight.event) -> e.kind = Telemetry.Flight.Bad_line)
+       (Telemetry.Flight.events ()))
+
+let ticking = { Server.default with tick_every = Some 1800 }
+
+let session_output lines =
+  let c = conn () in
+  let session = serve ~config:ticking (maritime_service ~horizon:1800 ()) [ c ] in
+  let out = collect c in
+  ignore (send c (lines_text lines));
+  finish session;
+  await "output" out
+
+(* An unparsable line, and one line holding a non-ground fact followed by
+   a copy of the first line, are both ignored whole: the output —
+   summary lines included — is byte-identical to the clean session's,
+   and each leaves one warning and one [bad_line] flight record. *)
+let test_bad_lines () =
+  let lines = stream_lines () in
+  let first = List.hd lines in
+  let dirty =
+    first :: "this is not a fact" :: ("happensAt(gap_start(X), 0). " ^ first) :: List.tl lines
+  in
+  let clean = session_output lines in
+  Telemetry.Flight.set_capacity (1 lsl 16);
+  Fun.protect ~finally:(fun () -> Telemetry.Flight.set_capacity 4096) @@ fun () ->
+  let output, log = with_log_file (fun () -> session_output dirty) in
+  Alcotest.(check string) "bad lines change no output byte" clean output;
+  Alcotest.(check int) "one bad_line record per bad line" 2 (bad_line_records ());
+  let warnings =
+    List.filter
+      (fun l -> contains l "WARN serve: ignoring bad input line")
+      (String.split_on_char '\n' log)
+  in
+  Alcotest.(check int) "one warning per bad line" 2 (List.length warnings)
+
+let suite =
+  [
+    Alcotest.test_case "two connections receive the batch answer" `Quick test_two_connections;
+    Alcotest.test_case "a slow consumer saturates the ring, loses no tick" `Quick
+      test_slow_consumer;
+    Alcotest.test_case "a closed connection is dropped, the other served" `Quick
+      test_dropped_connection;
+    Alcotest.test_case "admin routes answer mid-session" `Quick test_admin_routes;
+    Alcotest.test_case "bad lines leave a warning and a flight record" `Quick test_bad_lines;
+  ]

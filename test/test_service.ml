@@ -4,7 +4,8 @@
    tick's snapshot of a compiled session equals the interpreted one;
    beyond-horizon items are counted and dropped; idle entities are
    evicted with their recognised history frozen in the result; a session
-   compiles once and again only after a trim. *)
+   compiles once and again only after a trim; a batch rejected for a
+   non-ground item leaves the service untouched. *)
 
 open Rtec
 module Service = Runtime.Service
@@ -239,6 +240,43 @@ let test_ttl_eviction () =
       "evicted history stays frozen in the result" true
       (exact (Lazy.force r.intervals) = small_batch all)
 
+(* A batch holding a non-ground item is rejected whole: the service must
+   end up exactly where a service that never saw the batch ends up, even
+   when a ground item of another entity rides in the same batch. *)
+let test_rejected_batch_leaves_no_trace () =
+  let rest =
+    [ event "start" "v1" 4; event "start" "v2" 6; event "stop" "v1" 14; event "tour" "v2" 31 ]
+  in
+  let session ~poisoned =
+    let svc =
+      Service.create
+        ~config:(Service.config ~window:10 ~step:10 ())
+        ~event_description:small_ed ~knowledge:Knowledge.empty ()
+    in
+    if poisoned then begin
+      match
+        Service.ingest svc
+          [
+            Stream.Event { time = 0; term = Term.app "start" [ Term.Var "X" ] };
+            Stream.Event (event "start" "v1" 2);
+          ]
+      with
+      | () -> Alcotest.fail "a batch with a non-ground item was accepted"
+      | exception Invalid_argument _ -> ()
+    end;
+    List.iter (fun e -> Service.ingest svc [ Stream.Event e ]) rest;
+    match Service.drain svc with
+    | Error e -> Alcotest.failf "drain failed: %s" e
+    | Ok (r : Service.result) -> (exact (Lazy.force r.intervals), r.stats)
+  in
+  let clean, clean_stats = session ~poisoned:false in
+  let poisoned, poisoned_stats = session ~poisoned:true in
+  Alcotest.(check bool) "the clean run recognises something" true (clean <> []);
+  Alcotest.(check bool) "same intervals as a service that never saw the batch" true
+    (poisoned = clean);
+  Alcotest.(check bool) "same stats as a service that never saw the batch" true
+    (poisoned_stats = clean_stats)
+
 (* --- one compile per session, a fresh one per trim --- *)
 
 let stop_ed =
@@ -300,4 +338,6 @@ let suite =
       test_ttl_eviction;
     Alcotest.test_case "one compile per session, a fresh one per trim" `Quick
       test_compiles_per_session;
+    Alcotest.test_case "a rejected batch leaves no trace" `Quick
+      test_rejected_batch_leaves_no_trace;
   ]
