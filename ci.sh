@@ -63,16 +63,21 @@ diff "$EXPLAIN_DIR/batch.out" "$EXPLAIN_DIR/malformed.out" \
 # Per-tick serve smoke: swap each adjacent pair of stream lines, so some
 # events arrive late and revise earlier windows, and require every tick
 # snapshot of the compiled session — `%` lines included — to be
-# byte-identical to the interpreter's.
+# byte-identical to the interpreter's. The pair runs again with
+# --provenance, whose summary line counts the derivation records: the
+# compiled programs' recorder sinks and rule headers must stay right
+# across bucket switches and trims.
 awk 'NR % 2 { held = $0; next } { print; print held } END { if (NR % 2) print held }' \
   "$EXPLAIN_DIR/ds.stream" > "$EXPLAIN_DIR/swapped.stream"
-for flag in "" --interpret; do
-  dune exec bin/rtec_cli.exe -- serve "$EXPLAIN_DIR/ds.ed" -k "$EXPLAIN_DIR/ds.kb" \
-    -w 3600 -s 1800 --horizon 1800 --tick-every 1800 --emit ticks $flag \
-    < "$EXPLAIN_DIR/swapped.stream" > "$EXPLAIN_DIR/ticks$flag.out"
+for prov in "" --provenance; do
+  for flag in "" --interpret; do
+    dune exec bin/rtec_cli.exe -- serve "$EXPLAIN_DIR/ds.ed" -k "$EXPLAIN_DIR/ds.kb" \
+      -w 3600 -s 1800 --horizon 1800 --tick-every 1800 --emit ticks $flag $prov \
+      < "$EXPLAIN_DIR/swapped.stream" > "$EXPLAIN_DIR/ticks$flag$prov.out"
+  done
+  cmp "$EXPLAIN_DIR/ticks$prov.out" "$EXPLAIN_DIR/ticks--interpret$prov.out" \
+    || { echo "serve smoke: compiled tick snapshots diverge from the interpreter ($prov)"; exit 1; }
 done
-cmp "$EXPLAIN_DIR/ticks.out" "$EXPLAIN_DIR/ticks--interpret.out" \
-  || { echo "serve smoke: compiled tick snapshots diverge from the interpreter"; exit 1; }
 
 # Grouped batch smoke: `recognise -j 4` routes the stream into entity
 # components and evaluates four groups of them; its intervals must be

@@ -16,6 +16,14 @@
    the old table already covers. Rules, knowledge tables, the intern
    table and the probe memos survive a refresh.
 
+   A query pays only for what can match: a rule whose first literal is
+   a positive happensAt is not entered when that literal's table holds
+   no event in the window ([may_fire]); a knowledge literal visits only
+   the fact rows whose key argument is the key atom; head and probe fvp
+   ids are memoised on the intern ids of the slots they are built from;
+   and the recorder's sink and each rule's record header are built once
+   per recorder buffer, not once per rule call.
+
    The compiler is deliberately partial: any rule shape outside the
    analysed fragment (unbound probe arguments, [=] unification,
    non-ground heads, nested event patterns, time joins) yields
@@ -49,15 +57,6 @@ let no_probe _ _ = false
 let no_miss () = ()
 let no_emit _ _ = ()
 
-type compiled_rule = {
-  cr_state : rstate;
-  cr_chain : unit -> unit;
-  cr_frame : frame;
-  cr_bvars : (string * bool) array;  (* bound vars in name order; true = time slot *)
-  cr_bslots : int array;  (* slot per binding; [lnot slot] for time slots *)
-}
-type rule_code = Compiled of compiled_rule | Interpreted
-
 (* --- pre-interned candidate tables --- *)
 
 type candidates = {
@@ -68,16 +67,33 @@ type candidates = {
   c_nums : float array array;
 }
 
+type compiled_rule = {
+  cr_state : rstate;
+  cr_chain : unit -> unit;
+  cr_frame : frame;
+  cr_kind : Derivation.transition_kind;  (* initiation or termination *)
+  cr_first : candidates ref option;  (* table of a positive first happensAt *)
+  cr_bvars : (string * bool) array;  (* bound vars in name order; true = time slot *)
+  cr_bslots : int array;  (* slot per binding; [lnot slot] for time slots *)
+  (* The recorder header, valid for [cr_sink] only: label id and the
+     bind array with its keys filled in. *)
+  mutable cr_sink : Derivation.sink option;
+  mutable cr_label : int;
+  mutable cr_binds : int array;
+}
+type rule_code = Compiled of compiled_rule | Interpreted
+
 type program = {
   p_intern : Intern.t;
-  p_code : (string * int * int, rule_code) Hashtbl.t;  (* indicator + rule index *)
+  p_code : (string * int, rule_code array) Hashtbl.t;  (* indicator -> code per rule *)
   p_events : (string * int, candidates ref) Hashtbl.t;  (* cells the closures read *)
   p_compiled : int;  (* rules compiled to closures *)
   p_fallback : int;  (* transition rules left to the interpreter *)
+  mutable p_sink : Derivation.sink option;  (* the last sink the recorder gave *)
 }
 
 let intern p = p.p_intern
-let rule_code p ~ind ~index = Hashtbl.find_opt p.p_code (fst ind, snd ind, index)
+let rule_codes p ~ind = Option.value ~default:[||] (Hashtbl.find_opt p.p_code ind)
 let stats p = (p.p_compiled, p.p_fallback)
 
 (* Numeric value of a ground term, evaluated exactly like
@@ -137,12 +153,21 @@ let events_table ?(prev = no_candidates) intern events =
   done;
   { c_src = events; c_times; c_ids; c_terms; c_nums }
 
+(* A knowledge indicator's facts, in the order [Knowledge.solve] scans
+   them, with per-argument row indexes built on first use. *)
+type facts = {
+  f_rows : candidates;
+  f_all : int array;  (* every row, in table order *)
+  f_keys : (int, (int, int array) Hashtbl.t) Hashtbl.t;
+      (* argument position -> intern id -> rows holding it there, in order *)
+}
+
 (* Candidate tables are interned once per program: every literal on the
    same indicator — across all rules — shares one table, so compiling 70
    rules scans the stream once per indicator, not once per literal. *)
 type tables = {
   t_events : (string * int, candidates ref) Hashtbl.t;
-  t_facts : (string * int, candidates) Hashtbl.t;
+  t_facts : (string * int, facts) Hashtbl.t;
 }
 
 let facts_table intern knowledge ind =
@@ -157,7 +182,11 @@ let facts_table intern knowledge ind =
       c_terms.(j) <- tarr;
       c_nums.(j) <- nums)
     facts;
-  { no_candidates with c_ids; c_terms; c_nums }
+  {
+    f_rows = { no_candidates with c_ids; c_terms; c_nums };
+    f_all = Array.init n Fun.id;
+    f_keys = Hashtbl.create 2;
+  }
 
 let memo tbl ind build =
   match Hashtbl.find_opt tbl ind with
@@ -166,6 +195,16 @@ let memo tbl ind build =
     let t = build ind in
     Hashtbl.replace tbl ind t;
     t
+
+let rows_by_arg facts k =
+  memo facts.f_keys k (fun k ->
+      let ids = facts.f_rows.c_ids in
+      let rows = Hashtbl.create 16 in
+      for j = Array.length ids - 1 downto 0 do
+        let id = ids.(j).(k) in
+        Hashtbl.replace rows id (j :: Option.value ~default:[] (Hashtbl.find_opt rows id))
+      done;
+      Hashtbl.to_seq rows |> Seq.map (fun (id, js) -> (id, Array.of_list js)) |> Hashtbl.of_seq)
 
 (* First index with time >= t. *)
 let lower_bound times t =
@@ -284,7 +323,99 @@ let compile_test frame op na nb : unit -> bool =
 
 let comparison_ops = [ "<"; ">"; ">="; "=<"; "\\=" ]
 
-let compile_rule intern ~tables ~stream ~knowledge (r : Ast.rule) ~fluent ~value ~time =
+(* [resolve ()] memoised on the intern ids bound in [slots]. Interning is
+   injective, so equal ids mean equal terms and whatever is built from
+   those slots resolves the same way; ids are append-only, so a kept
+   entry never goes stale. Only non-negative results are kept: a failed
+   probe resolution may succeed once a later emission interns its fvp.
+   This replaces a term construction and a structural hash per call with
+   an int-keyed table hit. Keys hold up to three slots (more resolve on
+   every call); a table is made on first use. A one-slot memo keeps its
+   last key inline and makes its table only for a second key: a bucket
+   often holds one entity, and a program is compiled again after every
+   trim. *)
+let memo_on_slots frame slots resolve =
+  let keep tbl key id =
+    if id >= 0 then Hashtbl.add tbl key id;
+    id
+  in
+  match slots with
+  | [] ->
+    let known = ref (-1) in
+    fun () ->
+      if !known < 0 then known := resolve ();
+      !known
+  | [ s1 ] ->
+    let last_key = ref (-1) and last_id = ref (-1) and tbl = lazy (Hashtbl.create 16) in
+    fun () ->
+      let key = frame.ids.(s1) in
+      if key = !last_key then !last_id
+      else begin
+        let id =
+          if !last_key < 0 then resolve ()
+          else
+            let tbl = Lazy.force tbl in
+            match Hashtbl.find tbl key with
+            | id -> id
+            | exception Not_found -> keep tbl key (resolve ())
+        in
+        if id >= 0 then begin
+          last_key := key;
+          last_id := id
+        end;
+        id
+      end
+  | [ s1; s2 ] ->
+    let tbl = lazy (Hashtbl.create 16) in
+    fun () -> (
+      let tbl = Lazy.force tbl and key = (frame.ids.(s1), frame.ids.(s2)) in
+      match Hashtbl.find tbl key with id -> id | exception Not_found -> keep tbl key (resolve ()))
+  | [ s1; s2; s3 ] ->
+    let tbl = lazy (Hashtbl.create 16) in
+    fun () -> (
+      let tbl = Lazy.force tbl and key = (frame.ids.(s1), frame.ids.(s2), frame.ids.(s3)) in
+      match Hashtbl.find tbl key with id -> id | exception Not_found -> keep tbl key (resolve ()))
+  | _ -> resolve
+
+(* The fact rows a knowledge literal visits. Its key is the first
+   argument checked against a constant atom or against a slot bound
+   before the literal. An atom matches only its own intern id, so only
+   the rows holding that id there can match; they are visited in table
+   order. A number matches across Int/Real and a compound by
+   unification, so such a key scans every row, as does a literal
+   without a key. *)
+let fact_rows frame facts specs =
+  let bound_earlier s k =
+    let rec go j =
+      j < k && ((match specs.(j) with A_bind s' -> s' = s | _ -> false) || go (j + 1))
+    in
+    go 0
+  in
+  let rec key k =
+    if k >= Array.length specs then None
+    else
+      match specs.(k) with
+      | A_check_const (_, Term.Atom _, _) -> Some k
+      | A_check_slot s when not (bound_earlier s k) -> Some k
+      | _ -> key (k + 1)
+  in
+  match key 0 with
+  | None -> fun () -> facts.f_all
+  | Some k -> (
+    let index = rows_by_arg facts k in
+    let rows id = match Hashtbl.find index id with rows -> rows | exception Not_found -> [||] in
+    match specs.(k) with
+    | A_check_const (id, _, _) ->
+      let rows = rows id in
+      fun () -> rows
+    | A_check_slot s -> (
+      fun () ->
+        match frame.terms.(s) with
+        | Term.Int _ | Term.Real _ | Term.Compound _ -> facts.f_all
+        | _ -> rows frame.ids.(s))
+    | A_bind _ -> assert false)
+
+let compile_rule intern ~tables ~stream ~knowledge (r : Ast.rule) ~kind ~fluent ~value ~time =
   (* Slots: one per distinct variable of the rule, in first-occurrence
      order over the body then the head. *)
   let slot_of = Hashtbl.create 8 in
@@ -317,6 +448,9 @@ let compile_rule intern ~tables ~stream ~knowledge (r : Ast.rule) ~fluent ~value
   (* Compile-time binding environment: variable -> slot and kind. *)
   let bound : (string, [ `Term | `Time ]) Hashtbl.t = Hashtbl.create 8 in
   let slot v = Hashtbl.find slot_of v in
+  let term_slots terms =
+    List.sort_uniq compare (List.concat_map (fun t -> List.map slot (Term.vars t)) terms)
+  in
   let compile_args ~negated args =
     let temp = ref [] in
     let specs =
@@ -490,54 +624,13 @@ let compile_rule intern ~tables ~stream ~knowledge (r : Ast.rule) ~fluent ~value
           end
           else begin
             let build = compile_builder pf in
-            let slow vid =
-              match Intern.find_term intern (build ()) with
-              | None -> -1
-              | Some fid -> (
-                match Intern.find_fvp intern ~fluent:fid ~value:vid with
-                | Some id -> id
-                | None -> -1)
-            in
-            (* Successful resolutions are memoised on the intern ids the
-               builder reads (term -> id is append-only, so a positive
-               entry can never go stale; failures are re-resolved, since
-               the probed fvp may be interned by a later emission). This
-               replaces a term construction + structural hash per probe
-               with an int-keyed table hit. *)
-            match List.map slot (Term.vars pf) with
-            | [] ->
-              let tbl : (int, int) Hashtbl.t = Hashtbl.create 16 in
-              fun () -> (
-                let vid = value_id () in
-                match Hashtbl.find_opt tbl vid with
-                | Some id -> id
-                | None ->
-                  let id = slow vid in
-                  if id >= 0 then Hashtbl.add tbl vid id;
-                  id)
-            | [ s1 ] ->
-              let tbl : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-              fun () -> (
-                let vid = value_id () in
-                let key = (frame.ids.(s1), vid) in
-                match Hashtbl.find_opt tbl key with
-                | Some id -> id
-                | None ->
-                  let id = slow vid in
-                  if id >= 0 then Hashtbl.add tbl key id;
-                  id)
-            | [ s1; s2 ] ->
-              let tbl : (int * int * int, int) Hashtbl.t = Hashtbl.create 64 in
-              fun () -> (
-                let vid = value_id () in
-                let key = (frame.ids.(s1), frame.ids.(s2), vid) in
-                match Hashtbl.find_opt tbl key with
-                | Some id -> id
-                | None ->
-                  let id = slow vid in
-                  if id >= 0 then Hashtbl.add tbl key id;
-                  id)
-            | _ -> fun () -> slow (value_id ())
+            memo_on_slots frame (term_slots [ pf; pv ]) (fun () ->
+                match Intern.find_term intern (build ()) with
+                | None -> -1
+                | Some fid -> (
+                  match Intern.find_fvp intern ~fluent:fid ~value:(value_id ()) with
+                  | Some id -> id
+                  | None -> -1))
           end
         in
         fun k () ->
@@ -558,34 +651,40 @@ let compile_rule intern ~tables ~stream ~knowledge (r : Ast.rule) ~fluent ~value
     | Term.Compound ("=", _) -> raise Fallback
     | Term.Compound (_, args) ->
       (* Knowledge lookup: candidate facts captured at compile time, in
-         the exact order [Knowledge.solve] scans them. *)
-      let table =
+         the exact order [Knowledge.solve] scans them; the literal visits
+         only the rows its key can match. *)
+      let facts =
         memo tables.t_facts (Term.indicator atom) (facts_table intern knowledge)
       in
+      let table = facts.f_rows in
       let specs, temps = compile_args ~negated:(not positive) args in
       if not positive then release temps;
-      let count = Array.length table.c_ids in
+      let rows = fact_rows frame facts specs in
       if positive then
         fun k () ->
-          for j = 0 to count - 1 do
+          let rows = rows () in
+          for r = 0 to Array.length rows - 1 do
+            let j = rows.(r) in
             if apply_specs frame specs table.c_ids.(j) table.c_terms.(j) table.c_nums.(j)
             then k ()
           done
       else
         fun k () ->
+          let rows = rows () in
           let found = ref false in
-          let j = ref 0 in
-          while (not !found) && !j < count do
-            if apply_specs frame specs table.c_ids.(!j) table.c_terms.(!j) table.c_nums.(!j)
+          let r = ref 0 in
+          while (not !found) && !r < Array.length rows do
+            let j = rows.(!r) in
+            if apply_specs frame specs table.c_ids.(j) table.c_terms.(j) table.c_nums.(j)
             then found := true;
-            incr j
+            incr r
           done;
           if not !found then k ()
     | Term.Atom _ ->
-      let table =
+      let facts =
         memo tables.t_facts (Term.indicator atom) (facts_table intern knowledge)
       in
-      let count = Array.length table.c_ids in
+      let count = Array.length facts.f_all in
       if positive then fun k () -> (for _ = 1 to count do k () done)
       else fun k () -> if count = 0 then k ()
     | _ -> raise Fallback
@@ -603,9 +702,22 @@ let compile_rule intern ~tables ~stream ~knowledge (r : Ast.rule) ~fluent ~value
       | _ -> raise Fallback
     in
     let fb = compile_builder fluent and vb = compile_builder value in
-    fun () -> st.r_emit (Intern.fvp_of_terms intern (fb ()) (vb ())) frame.tvals.(tslot)
+    let head =
+      memo_on_slots frame (term_slots [ fluent; value ]) (fun () ->
+          Intern.fvp_of_terms intern (fb ()) (vb ()))
+    in
+    fun () -> st.r_emit (head ()) frame.tvals.(tslot)
   in
   let chain = List.fold_right (fun mk k -> mk k) makers terminal in
+  let first =
+    match r.Ast.body with
+    | lit :: _ -> (
+      match Term.strip_not lit with
+      | true, Term.Compound ("happensAt", [ ev; _ ]) ->
+        Hashtbl.find_opt tables.t_events (Term.indicator ev)
+      | _ -> None)
+    | [] -> None
+  in
   (* Snapshot the binding environment for the derivation recorder: after
      the whole body is analysed, [bound] holds exactly the positively
      bound variables — the domain of the interpreted substitution. *)
@@ -617,10 +729,15 @@ let compile_rule intern ~tables ~stream ~knowledge (r : Ast.rule) ~fluent ~value
     cr_state = st;
     cr_chain = chain;
     cr_frame = frame;
+    cr_kind = kind;
+    cr_first = first;
     cr_bvars = Array.of_list (List.map (fun (v, k) -> (v, k = `Time)) bindings);
     cr_bslots =
       Array.of_list
         (List.map (fun (v, k) -> if k = `Time then lnot (slot v) else slot v) bindings);
+    cr_sink = None;
+    cr_label = -1;
+    cr_binds = [||];
   }
 
 let compile ~analysis ~knowledge ~stream () =
@@ -628,28 +745,29 @@ let compile ~analysis ~knowledge ~stream () =
   let code = Hashtbl.create 64 in
   let tables = { t_events = Hashtbl.create 32; t_facts = Hashtbl.create 32 } in
   let compiled = ref 0 and fallback = ref 0 in
+  let compile_one r ~kind ~fluent ~value ~time =
+    match compile_rule intern ~tables ~stream ~knowledge r ~kind ~fluent ~value ~time with
+    | cr ->
+      incr compiled;
+      Compiled cr
+    | exception Fallback ->
+      incr fallback;
+      Interpreted
+  in
   List.iter
     (fun (info : Dependency.info) ->
       if info.fluent_class = Dependency.Simple then
-        List.iteri
-          (fun i r ->
-            let entry =
-              match Ast.kind_of_rule r with
-              | Some (Ast.Initiated { fluent; value; time })
-              | Some (Ast.Terminated { fluent; value; time }) -> (
-                match
-                  compile_rule intern ~tables ~stream ~knowledge r ~fluent ~value ~time
-                with
-                | cr ->
-                  incr compiled;
-                  Compiled cr
-                | exception Fallback ->
-                  incr fallback;
-                  Interpreted)
-              | _ -> Interpreted
-            in
-            Hashtbl.replace code (fst info.indicator, snd info.indicator, i) entry)
-          info.rules)
+        Hashtbl.replace code info.indicator
+          (Array.of_list
+             (List.map
+                (fun r ->
+                  match Ast.kind_of_rule r with
+                  | Some (Ast.Initiated { fluent; value; time }) ->
+                    compile_one r ~kind:Derivation.Init ~fluent ~value ~time
+                  | Some (Ast.Terminated { fluent; value; time }) ->
+                    compile_one r ~kind:Derivation.Term ~fluent ~value ~time
+                  | _ -> Interpreted)
+                info.rules)))
     (Dependency.all analysis);
   {
     p_intern = intern;
@@ -657,6 +775,7 @@ let compile ~analysis ~knowledge ~stream () =
     p_events = tables.t_events;
     p_compiled = !compiled;
     p_fallback = !fallback;
+    p_sink = None;
   }
 
 let refresh p stream =
@@ -666,11 +785,50 @@ let refresh p stream =
       if events != !cell.c_src then cell := events_table ~prev:!cell p.p_intern events)
     p.p_events
 
-let binding_vars cr = cr.cr_bvars
+let kind cr = cr.cr_kind
 
+(* One binary search. A positive first happensAt with no event in
+   [from, until] enumerates nothing, so the chain would neither probe nor
+   emit: skipping it changes no result, record or counter. *)
+let may_fire cr ~from ~until =
+  match cr.cr_first with
+  | None -> true
+  | Some cell ->
+    let times = !cell.c_times in
+    let i = lower_bound times from in
+    i < Array.length times && times.(i) <= until
+
+let sink p =
+  let sk = Derivation.sink ?reuse:p.p_sink ~intern:p.p_intern () in
+  if Option.is_some sk then p.p_sink <- sk;
+  sk
+
+(* The current frame value of a binding: the intern id of the bound
+   term, or the raw time-point of a time slot. *)
 let binding_value cr i =
   let s = cr.cr_bslots.(i) in
   if s >= 0 then cr.cr_frame.ids.(s) else cr.cr_frame.tvals.(lnot s)
+
+let recorded cr sk ~label emit =
+  let n = Array.length cr.cr_bvars in
+  (match cr.cr_sink with
+  | Some s when s == sk -> ()
+  | _ ->
+    let binds = Array.make (2 * n) 0 in
+    Array.iteri
+      (fun j (v, is_time) ->
+        binds.(2 * j) <- (Derivation.sink_string sk v lsl 1) lor Bool.to_int is_time)
+      cr.cr_bvars;
+    cr.cr_label <- Derivation.sink_string sk (label ());
+    cr.cr_binds <- binds;
+    cr.cr_sink <- Some sk);
+  let rule = cr.cr_label and binds = cr.cr_binds in
+  fun id t ->
+    emit id t;
+    for j = 0 to n - 1 do
+      binds.((2 * j) + 1) <- binding_value cr j
+    done;
+    Derivation.sink_transition_ids sk ~kind:cr.cr_kind ~rule ~fvp:id ~time:t ~binds
 
 let run_rule cr ~from ~until ~probe ~miss ~emit =
   let st = cr.cr_state in

@@ -13,6 +13,12 @@
     results — and the engine's hit/miss/rule-evaluation counters — are
     bit-identical.
 
+    A query pays only for rules that can fire and facts that can match:
+    {!may_fire} tells the engine which rules' first event is absent from
+    the window, a knowledge literal visits only the fact rows its key
+    atom selects, and emitted heads and probed fluents resolve to fvp
+    ids through int-keyed memos on their slots' intern ids.
+
     The compiler is deliberately partial: rule shapes outside the
     analysed fragment (unbound probe arguments, [=] unification
     literals, non-ground heads such as termination patterns, non-simple
@@ -50,12 +56,24 @@ val intern : program -> Intern.t
 (** The program's intern table. The engine shares it with its cache so
     fvp ids baked into closures address cache entries directly. *)
 
-val rule_code : program -> ind:string * int -> index:int -> rule_code option
-(** Code for the [index]-th rule (in [Dependency.info] order) of a
-    fluent indicator; [None] for indicators unknown to the program. *)
+val rule_codes : program -> ind:string * int -> rule_code array
+(** Code for each rule of a fluent indicator, in [Dependency.info]
+    order; [[||]] for indicators unknown to the program. *)
 
 val stats : program -> int * int
 (** [(compiled, fallback)] rule counts. *)
+
+val kind : compiled_rule -> Derivation.transition_kind
+(** Whether the rule initiates or terminates its head. *)
+
+val may_fire : compiled_rule -> from:int -> until:int -> bool
+(** [false] only when the rule's first body literal is a positive
+    [happensAt] whose event table holds no event in [\[from, until\]]:
+    {!run_rule} would then enumerate nothing, probe nothing and emit
+    nothing, so a caller may skip it without changing any result,
+    record or cache counter. One binary search. Other rules always may
+    fire: a later literal can sit behind [holdsAt] probes, which count
+    cache hits and misses. *)
 
 val run_rule :
   compiled_rule ->
@@ -72,21 +90,32 @@ val run_rule :
     ground transition point, possibly with duplicates — exactly the
     solution multiset the interpreter derives. *)
 
-(** {1 Binding exposure}
+(** {1 Provenance}
 
     The derivation recorder reads the successful substitution straight
     out of a chain's slot frame at emission time — the compiled
-    equivalent of [Subst.bindings] on an interpreted solution. *)
-
-val binding_vars : compiled_rule -> (string * bool) array
-(** The rule's bound variables in name order, [true] marking time-valued
-    slots. The set matches the domain of the substitution the
-    interpreter would produce for the same rule: variables bound by
-    positive body literals (negation-scoped temporaries excluded), which
+    equivalent of [Subst.bindings] on an interpreted solution. The
+    bindings recorded are the rule's positively bound variables, in name
+    order: the domain of the substitution the interpreter would produce
+    for the same rule (negation-scoped temporaries excluded), which
     includes every head variable of a compilable rule. *)
 
-val binding_value : compiled_rule -> int -> int
-(** The current frame value of the [i]-th binding of {!binding_vars}:
-    the {!Intern} id of the bound term, or the raw time-point for a
-    time-valued slot. Only meaningful inside an [emit] callback, when
-    the whole chain has bound its slots. Allocation-free. *)
+val sink : program -> Derivation.sink option
+(** The program's recorder sink, [None] unless [Derivation.recording].
+    The program keeps the sink and gets it back from
+    [Derivation.sink ~reuse] while the recorder buffer is the one it was
+    made for, so its id translation memo outlives the query. *)
+
+val recorded :
+  compiled_rule ->
+  Derivation.sink ->
+  label:(unit -> string) ->
+  (int -> int -> unit) ->
+  int ->
+  int ->
+  unit
+(** [recorded cr sk ~label emit] is [emit] that also appends each
+    emission's compact transition record (rule [label], fvp, time, slot
+    bindings) to [sk]. The label id and the bind keys are interned once
+    per sink and kept on the rule, so [label] is called only then and a
+    rule call formats, hashes and interns no strings. *)

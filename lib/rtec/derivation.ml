@@ -90,12 +90,11 @@ type buffer = {
   mutable evicted : int;
   mutable sampled : int;
   mutable skipped : int;
-  mutable sink_cache : sink option;
 }
 
 (* Memoised translation from a source intern table (the compiled
    program's) into the buffer's own tables; [-1] marks untranslated. *)
-and sink = {
+type sink = {
   sk_buf : buffer;
   sk_src : Intern.t;
   mutable sk_terms : int array;
@@ -115,7 +114,6 @@ let fresh () =
     evicted = 0;
     sampled = 0;
     skipped = 0;
-    sink_cache = None;
   }
 
 let global = fresh ()
@@ -124,11 +122,12 @@ let local_key : buffer option Domain.DLS.key = Domain.DLS.new_key (fun () -> Non
 let current () = match Domain.DLS.get local_key with Some b -> b | None -> global
 let recording () = !on && (current ()).armed
 
-(* Keeps the ring allocation, intern tables and sink memo: the tables
-   are append-only (old ids stay valid, unreferenced entries are inert)
-   and rebuilding them dominated recorder overhead when the buffer is
-   cleared around every run. The array is dropped only when a capacity
-   shrink makes it oversized, so [set_capacity] still takes effect. *)
+(* Keeps the ring allocation and intern tables: the tables are
+   append-only (old ids stay valid, unreferenced entries are inert, and
+   a sink made for the buffer stays valid), and rebuilding them
+   dominated recorder overhead when the buffer is cleared around every
+   run. The array is dropped only when a capacity shrink makes it
+   oversized, so [set_capacity] still takes effect. *)
 let clear b =
   if Array.length b.data > !capacity then b.data <- [||];
   b.head <- 0;
@@ -382,19 +381,15 @@ let record_derived ~fluent ~value ~rule ~spans ~binds ~steps =
 
 (* --- compiled-path sink --- *)
 
-let sink ~intern =
+let sink ?reuse ~intern () =
   if not !on then None
   else begin
     let b = current () in
     if not b.armed then None
-    else begin
-      match b.sink_cache with
-      | Some sk when sk.sk_src == intern -> Some sk
-      | _ ->
-        let sk = { sk_buf = b; sk_src = intern; sk_terms = [||]; sk_fvps = [||] } in
-        b.sink_cache <- Some sk;
-        Some sk
-    end
+    else
+      match reuse with
+      | Some sk when sk.sk_buf == b && sk.sk_src == intern -> reuse
+      | _ -> Some { sk_buf = b; sk_src = intern; sk_terms = [||]; sk_fvps = [||] }
   end
 
 let sink_string sk s = str_id sk.sk_buf s
@@ -742,5 +737,8 @@ let with_local f =
   Fun.protect
     ~finally:(fun () ->
       Domain.DLS.set local_key prev;
-      merge_local l)
+      merge_local l;
+      (* A sink kept by a compiled program may still point here; it is
+         stale, and must not pin the ring. *)
+      l.data <- [||])
     f

@@ -144,17 +144,22 @@ val record_derived :
 
 (** {1 Compiled-path sink}
 
-    The compiled evaluator works in a per-run {!Intern} table of its
-    own; a sink memoises the translation from run ids to buffer ids so
-    a compiled emission appends a record without allocating. *)
+    The compiled evaluator works in its program's {!Intern} table; a
+    sink memoises the translation from program ids to buffer ids so a
+    compiled emission appends a record without allocating. *)
 
 type sink
 
-val sink : intern:Intern.t -> sink option
+val sink : ?reuse:sink -> intern:Intern.t -> unit -> sink option
 (** [None] unless {!recording} — callers skip all bookkeeping then.
-    The translation memo is cached on the buffer, so asking again for
-    the same intern table (the common compiled case: one program intern
-    shared by every window) is free. *)
+    Otherwise [reuse], a sink an earlier call returned, comes back as it
+    is while it is still valid: made for [intern] and for the buffer
+    recording now. A fresh sink starts with an empty memo. The caller
+    owns the sink: a compiled program keeps its own and passes it back
+    on every query, so its memo is built once per buffer — at jobs 1
+    that is the global buffer, for the whole session; a worker domain
+    records into a fresh buffer on every pass, and needs a fresh sink
+    there. {!reset} keeps a sink valid. *)
 
 val sink_string : sink -> string -> int
 (** Intern a rule label or variable name into the buffer. *)

@@ -12,6 +12,7 @@ let m_cache_miss = Telemetry.Metrics.counter "engine.cache.miss"
 let m_rule_evals = Telemetry.Metrics.counter "engine.rule_evaluations"
 let m_compiled_hit = Telemetry.Metrics.counter "engine.compiled.hit"
 let m_compiled_miss = Telemetry.Metrics.counter "engine.compiled.miss"
+let m_compiled_skipped = Telemetry.Metrics.counter "engine.compiled.skipped"
 
 module Cache = struct
   (* Maximal intervals of every ground FVP computed so far: the engine's
@@ -214,7 +215,8 @@ let labelled_rules event_description =
          List.mapi (fun i r -> (rule_label info.Dependency.indicator i r, r)) info.rules)
 
 (* The successful substitution, fully resolved, for the derivation
-   recorder — the interpreted counterpart of [Compiled.binding_value]. *)
+   recorder — the interpreted counterpart of the slot bindings
+   [Compiled.recorded] reads. *)
 let resolved_bindings s =
   List.map (fun (x, _) -> (x, Subst.apply s (Term.Var x))) (Subst.bindings s)
 
@@ -513,38 +515,18 @@ let ivec_array v = Array.sub v.buf 0 v.len
    closure chains, and rules the compiler could not handle fall back to
    [transition_points] — feeding the same accumulators, so the resulting
    cache content (and [Cache.add] order, hence result order) is
-   bit-identical to the interpreter's. When the derivation recorder is
-   armed, a [Derivation.sink] re-encodes each compiled emission as a
-   compact record (rule label, fvp, time and the chain's slot bindings
-   via {!Compiled.binding_value}) — the same record sequence, in the
-   same order, as the interpreted path produces. *)
+   bit-identical to the interpreter's. A compiled rule that cannot fire
+   in the window ({!Compiled.may_fire}) is counted as evaluated and not
+   entered. When the derivation recorder is armed, the program's
+   [Derivation.sink] re-encodes each compiled emission as a compact
+   record (rule label, fvp, time and the chain's slot bindings) — the
+   same record sequence, in the same order, as the interpreted path
+   produces. *)
 let evaluate_simple_compiled env (prog : Compiled.program) ~ind ~carry
     (rules : Ast.rule list) =
   let intern = Cache.intern env.cache in
-  let sink = Derivation.sink ~intern in
-  (* Wrap a compiled rule's [emit] so every emission also appends a
-     compact transition record; the bind array is per-rule scratch with
-     keys pre-filled, so the per-emission work is slot reads only. *)
-  let traced_emit cr ~kind i r base =
-    match sink with
-    | None -> base
-    | Some sk ->
-      let vars = Compiled.binding_vars cr in
-      let n = Array.length vars in
-      let rule = Derivation.sink_string sk (rule_label ind i r) in
-      let binds = Array.make (2 * n) 0 in
-      Array.iteri
-        (fun j (v, is_time) ->
-          binds.(2 * j) <-
-            (Derivation.sink_string sk v lsl 1) lor (if is_time then 1 else 0))
-        vars;
-      fun id t ->
-        base id t;
-        for j = 0 to n - 1 do
-          binds.((2 * j) + 1) <- Compiled.binding_value cr j
-        done;
-        Derivation.sink_transition_ids sk ~kind ~rule ~fvp:id ~time:t ~binds
-  in
+  let sink = Compiled.sink prog in
+  let codes = Compiled.rule_codes prog ~ind in
   let inits : (int, ivec) Hashtbl.t = Hashtbl.create 32 in
   let terms : (int, ivec) Hashtbl.t = Hashtbl.create 32 in
   let term_patterns = ref [] in
@@ -568,30 +550,35 @@ let evaluate_simple_compiled env (prog : Compiled.program) ~ind ~carry
   let miss () = Telemetry.Metrics.incr m_cache_miss in
   let emit_init id t = record inits id t in
   let emit_term id t = record terms id t in
+  let run_compiled i r cr =
+    Telemetry.Metrics.incr m_rule_evals;
+    Telemetry.Metrics.incr m_compiled_hit;
+    if Compiled.may_fire cr ~from:env.from ~until:env.until then begin
+      let emit =
+        match Compiled.kind cr with Derivation.Init -> emit_init | Term -> emit_term
+      in
+      let emit =
+        match sink with
+        | None -> emit
+        | Some sk -> Compiled.recorded cr sk ~label:(fun () -> rule_label ind i r) emit
+      in
+      Compiled.run_rule cr ~from:env.from ~until:env.until ~probe ~miss ~emit
+    end
+    else Telemetry.Metrics.incr m_compiled_skipped
+  in
   List.iteri
     (fun i r ->
-      match Ast.kind_of_rule r with
-      | Some (Ast.Initiated { fluent; value; time }) -> (
-        match Compiled.rule_code prog ~ind ~index:i with
-        | Some (Compiled.Compiled cr) ->
-          Telemetry.Metrics.incr m_rule_evals;
-          Telemetry.Metrics.incr m_compiled_hit;
-          Compiled.run_rule cr ~from:env.from ~until:env.until ~probe ~miss
-            ~emit:(traced_emit cr ~kind:Derivation.Init i r emit_init)
-        | _ ->
+      match if i < Array.length codes then codes.(i) else Compiled.Interpreted with
+      | Compiled.Compiled cr -> run_compiled i r cr
+      | Compiled.Interpreted -> (
+        match Ast.kind_of_rule r with
+        | Some (Ast.Initiated { fluent; value; time }) ->
           Telemetry.Metrics.incr m_compiled_miss;
           List.iter
             (fun ((f, v), t) -> record inits (Intern.fvp_of_terms intern f v) t)
             (transition_points env ~label:(rule_label ind i r) ~kind:Derivation.Init r
-               ~fluent ~value ~time ~require_ground:true))
-      | Some (Ast.Terminated { fluent; value; time }) -> (
-        match Compiled.rule_code prog ~ind ~index:i with
-        | Some (Compiled.Compiled cr) ->
-          Telemetry.Metrics.incr m_rule_evals;
-          Telemetry.Metrics.incr m_compiled_hit;
-          Compiled.run_rule cr ~from:env.from ~until:env.until ~probe ~miss
-            ~emit:(traced_emit cr ~kind:Derivation.Term i r emit_term)
-        | _ ->
+               ~fluent ~value ~time ~require_ground:true)
+        | Some (Ast.Terminated { fluent; value; time }) ->
           Telemetry.Metrics.incr m_compiled_miss;
           let label = rule_label ind i r in
           List.iter
@@ -600,8 +587,8 @@ let evaluate_simple_compiled env (prog : Compiled.program) ~ind ~carry
                 record terms (Intern.fvp_of_terms intern f v) t
               else term_patterns := ((fv, t), label) :: !term_patterns)
             (transition_points env ~label ~kind:Derivation.Term r ~fluent ~value ~time
-               ~require_ground:false))
-      | _ -> ())
+               ~require_ground:false)
+        | _ -> ()))
     rules;
   List.iter
     (fun ((f, v), origin) ->

@@ -65,8 +65,11 @@ val run :
     knowledge base and stream): transition rules then run as
     closure chains over interned terms, with bit-identical results — also
     while derivation recording is enabled, when each compiled emission is
-    re-encoded through a {!Derivation.sink} into the same compact records
-    the interpreted path appends. *)
+    re-encoded through the program's {!Derivation.sink} into the same
+    compact records the interpreted path appends. A compiled rule whose
+    first event does not occur in [\[from, until\]] is counted as
+    evaluated ([engine.rule_evaluations], [engine.compiled.hit]) and
+    skipped ([engine.compiled.skipped]) without being entered. *)
 
 val labelled_rules : Ast.t -> (string * Ast.rule) list
 (** Every transition and [holdsFor] rule of the event description, paired

@@ -11,6 +11,7 @@ let m_ingest_blocked = Telemetry.Metrics.counter "service.ingest.blocked"
 let g_queue_depth = Telemetry.Metrics.gauge "service.ingest_queue.depth"
 let g_queue_hwm = Telemetry.Metrics.gauge "service.ingest_queue.depth_hwm"
 let m_clients_dropped = Telemetry.Metrics.counter "service.clients.dropped"
+let m_bad_lines = Telemetry.Metrics.counter "service.bad_lines"
 let h_stage_decode = Telemetry.Metrics.histogram "service.stage.decode_us"
 let h_stage_emit = Telemetry.Metrics.histogram "service.stage.emit_us"
 
@@ -148,12 +149,14 @@ type error = Setup of string | Recognition of string
 
 (* What the admin thread reads, advisorily: the ring, one state per
    connection ("waiting" → "streaming" → "eof" / "dropped_read" /
-   "dropped_write") and the time of the evaluator's last progress. *)
+   "dropped_write"), the lines ignored as bad and the time of the
+   evaluator's last progress. *)
 type state = {
   svc : Service.t;
   ring : ring;
   clients : string array;
   start_ns : int64;
+  mutable bad_lines : int;
   mutable last_activity : int64;
 }
 
@@ -189,7 +192,9 @@ let emit st sinks pp x =
               drop st s.slot ~write:true)
         sinks)
 
-let bad_line msg =
+let bad_line st msg =
+  st.bad_lines <- st.bad_lines + 1;
+  Telemetry.Metrics.incr m_bad_lines;
   Telemetry.Flight.record Bad_line ~a:(String.length msg) ();
   Telemetry.Log.warn ~src:"serve" "ignoring bad input line"
     ~fields:[ ("error", Telemetry.Log.Str msg) ]
@@ -219,7 +224,7 @@ let evaluate ~config ~on_tick st sinks =
   let ingest items =
     touch st;
     match Service.ingest st.svc items with
-    | exception Invalid_argument msg -> Ok (bad_line msg)
+    | exception Invalid_argument msg -> Ok (bad_line st msg)
     | () -> (
       match (config.tick_every, Service.watermark st.svc) with
       | Some n, Some wm when (match !last_tick with None -> true | Some t -> wm >= t + n) ->
@@ -233,7 +238,7 @@ let evaluate ~config ~on_tick st sinks =
       | Ingest items -> continue (ingest items) open_clients
       | Tick_at t -> continue (tick t) open_clients
       | Bad_line msg ->
-        bad_line msg;
+        bad_line st msg;
         loop open_clients
       | Client_eof { slot; dropped } ->
         client_eof st ~slot ~dropped;
@@ -296,6 +301,7 @@ let statusz st =
              (List.mapi
                 (fun slot state -> Obj [ ("slot", Num (float_of_int slot)); ("state", Str state) ])
                 (Array.to_list st.clients)) );
+         ("bad_lines", Num (float_of_int st.bad_lines));
          ("flight_recorded", Num (float_of_int (Telemetry.Flight.total ())));
        ])
 
@@ -370,7 +376,16 @@ let run ~config ?(on_tick = ignore) svc source =
     }
   in
   let now = Telemetry.Clock.now_ns () in
-  let st = { svc; ring; clients = Array.make n "waiting"; start_ns = now; last_activity = now } in
+  let st =
+    {
+      svc;
+      ring;
+      clients = Array.make n "waiting";
+      start_ns = now;
+      bad_lines = 0;
+      last_activity = now;
+    }
+  in
   match Option.fold ~none:(Ok None) ~some:(start_admin st) config.admin_port with
   | Error e -> Error (Setup e)
   | Ok admin -> (
@@ -398,7 +413,14 @@ let run ~config ?(on_tick = ignore) svc source =
             { slot; fmt = Format.formatter_of_out_channel oc; live = true })
           chans
       in
-      let outcome = evaluate ~config ~on_tick st sinks in
+      (* An exception from a bucket, [Service.tick] or [on_tick] is a
+         failed recognition like any other: the sockets and the admin
+         endpoint are released on every path. *)
+      let outcome =
+        match evaluate ~config ~on_tick st sinks with
+        | outcome -> outcome
+        | exception e -> Error (Recognition (Printexc.to_string e))
+      in
       close ();
       stop_admin ();
       if Result.is_ok outcome then Telemetry.Flight.record Session_end ();

@@ -7,8 +7,9 @@
     progress, broadcasts each emission to every live connection and,
     once all have sent their EOF, drains and emits the final result. A
     line that does not parse or holds a non-ground fact is ignored with
-    a warning and a [Bad_line] flight record; a connection whose write
-    fails is dropped ([service.clients.dropped]). *)
+    a warning and a [Bad_line] flight record, and counted
+    ([service.bad_lines], and [bad_lines] in [/statusz]); a connection
+    whose write fails is dropped ([service.clients.dropped]). *)
 
 (** What [serve]'s flags of the same names set. *)
 type config = {
@@ -34,11 +35,15 @@ type source =
 
 type error =
   | Setup of string  (** the admin or listening port could not be bound *)
-  | Recognition of string  (** a tick or the final drain failed *)
+  | Recognition of string
+      (** a tick or the final drain failed, or evaluation raised (the
+          message is the exception's) *)
 
 val run :
   config:config -> ?on_tick:(unit -> unit) -> Service.t -> source -> (unit, error) result
-(** Serve one session to its end and release what the server opened.
+(** Serve one session to its end and release what the server opened,
+    on every path: an exception raised while evaluating (by a bucket,
+    a tick or [on_tick]) becomes [Error (Recognition _)].
     [on_tick] runs after every successful tick, before its emission.
     Records [Session_start], per-connection [Client_connect] /
     [Client_eof] / [Client_drop] and, on success, [Session_end] flight

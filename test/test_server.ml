@@ -3,8 +3,10 @@
    TCP. Two connections merge into the batch answer; a consumer that
    stops reading saturates the ring without losing a tick; a connection
    whose output is closed is dropped while the other still gets
-   everything; bad lines leave only a warning and a flight record; the
-   admin routes answer mid-session. Every wait polls with a deadline. *)
+   everything; bad lines leave only a warning, a flight record and a
+   count; the admin routes answer mid-session; an exception raised
+   while evaluating fails the session and releases its ports. Every wait
+   polls with a deadline. *)
 
 open Rtec
 module Server = Runtime.Server
@@ -285,6 +287,44 @@ let test_admin_routes () =
   finish session;
   ignore (await "output" out)
 
+(* --- an exception inside evaluation --- *)
+
+(* [on_tick] raises after the first tick. The session must fail as a
+   recognition error, not by raising, and must have released the admin
+   port: binding it again succeeds. *)
+let test_exception_releases_ports () =
+  let port = free_port () in
+  let c = conn () in
+  let session =
+    spawn (fun () ->
+        Server.run
+          ~config:{ Server.default with admin_port = Some port }
+          ~on_tick:(fun () -> failwith "on_tick gave up")
+          (small_service ())
+          (Server.Channels [ (c.server_in, c.server_out) ]))
+  in
+  output_string c.send "tick(0).\n";
+  flush c.send;
+  (match await "the session to fail" session with
+  | Error (Server.Recognition msg) ->
+    Alcotest.(check bool) "the error names the exception" true (contains msg "on_tick gave up")
+  | Error (Server.Setup e) -> Alcotest.failf "unexpected setup error: %s" e
+  | Ok () -> Alcotest.fail "the session succeeded although on_tick raised");
+  (* The reader still waits on its connection: end it before closing
+     the server's ends. *)
+  close_out c.send;
+  close_in_noerr c.server_in;
+  close_out_noerr c.server_out;
+  close_in_noerr c.recv;
+  let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close s)
+    (fun () ->
+      match Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) with
+      | () -> ()
+      | exception Unix.Unix_error (e, _, _) ->
+        Alcotest.failf "the admin port is still bound: %s" (Unix.error_message e))
+
 (* --- bad lines --- *)
 
 let with_log_file f =
@@ -309,18 +349,37 @@ let bad_line_records () =
 
 let ticking = { Server.default with tick_every = Some 1800 }
 
-let session_output lines =
+let statusz_bad_lines port =
+  Option.bind
+    (Option.bind (statusz port) (Telemetry.Json.member "bad_lines"))
+    Telemetry.Json.num
+
+(* With [admin], the connection stays open until [/statusz] counts two
+   bad lines. *)
+let session_output ?admin lines =
   let c = conn () in
-  let session = serve ~config:ticking (maritime_service ~horizon:1800 ()) [ c ] in
+  let session =
+    serve ~config:{ ticking with admin_port = admin } (maritime_service ~horizon:1800 ()) [ c ]
+  in
   let out = collect c in
-  ignore (send c (lines_text lines));
+  (match admin with
+  | None -> ignore (send c (lines_text lines))
+  | Some port ->
+    output_string c.send (lines_text lines);
+    flush c.send;
+    poll "/statusz to count the bad lines" (fun () ->
+        match statusz_bad_lines port with Some n -> n >= 2. | None -> false);
+    Alcotest.(check (option (float 0.))) "/statusz counts each bad line" (Some 2.)
+      (statusz_bad_lines port);
+    close_out c.send);
   finish session;
   await "output" out
 
 (* An unparsable line, and one line holding a non-ground fact followed by
    a copy of the first line, are both ignored whole: the output —
    summary lines included — is byte-identical to the clean session's,
-   and each leaves one warning and one [bad_line] flight record. *)
+   and each leaves one warning, one [bad_line] flight record and one
+   count in [service.bad_lines] and in [/statusz]. *)
 let test_bad_lines () =
   let lines = stream_lines () in
   let first = List.hd lines in
@@ -330,9 +389,15 @@ let test_bad_lines () =
   let clean = session_output lines in
   Telemetry.Flight.set_capacity (1 lsl 16);
   Fun.protect ~finally:(fun () -> Telemetry.Flight.set_capacity 4096) @@ fun () ->
-  let output, log = with_log_file (fun () -> session_output dirty) in
+  with_metrics @@ fun () ->
+  let counted0 = counter "service.bad_lines" in
+  let output, log =
+    with_log_file (fun () -> session_output ~admin:(free_port ()) dirty)
+  in
   Alcotest.(check string) "bad lines change no output byte" clean output;
   Alcotest.(check int) "one bad_line record per bad line" 2 (bad_line_records ());
+  Alcotest.(check int) "service.bad_lines counts each bad line" 2
+    (counter "service.bad_lines" - counted0);
   let warnings =
     List.filter
       (fun l -> contains l "WARN serve: ignoring bad input line")
@@ -349,4 +414,6 @@ let suite =
       test_dropped_connection;
     Alcotest.test_case "admin routes answer mid-session" `Quick test_admin_routes;
     Alcotest.test_case "bad lines leave a warning and a flight record" `Quick test_bad_lines;
+    Alcotest.test_case "an exception in evaluation fails the session, frees its ports" `Quick
+      test_exception_releases_ports;
   ]

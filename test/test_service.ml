@@ -1,7 +1,8 @@
 (* The streaming service: out-of-order replay within the revision
    horizon converges bit-identically to the in-order batch run (maritime
    and fleet scenarios, jobs 1 and 4, provenance on and off), and every
-   tick's snapshot of a compiled session equals the interpreted one;
+   tick's snapshot of a compiled session equals the interpreted one, as
+   does the derivation record sequence of a whole session;
    beyond-horizon items are counted and dropped; idle entities are
    evicted with their recognised history frozen in the result; a session
    compiles once and again only after a trim; a batch rejected for a
@@ -57,41 +58,50 @@ let rec chunks n = function
     let chunk, rest = take n [] items in
     chunk :: chunks n rest
 
-(* Replay the stream out of order against two live services in
-   lockstep, one compiled and one interpreted: input fluents first
-   (timeless inputs), then events in perturbed delivery order in small
-   batches, ticking on watermark progress, and a final drain. Every
-   tick's snapshot — what an [--emit ticks] client sees — must be the
-   same from both; the compiled drain result is returned. *)
-let replay ~jobs ~horizon ~event_description ~knowledge ~stream () =
-  let service compile =
-    Service.create
-      ~config:(Service.config ~window:3600 ~step:1800 ~jobs ~compile ~horizon ())
-      ~event_description ~knowledge ()
-  in
-  let compiled = service true and interpreted = service false in
-  let ingest items = List.iter (fun svc -> Service.ingest svc items) [ compiled; interpreted ] in
+let service ~jobs ~horizon ~event_description ~knowledge compile =
+  Service.create
+    ~config:(Service.config ~window:3600 ~step:1800 ~jobs ~compile ~horizon ())
+    ~event_description ~knowledge ()
+
+(* Feed the stream out of order to [services] in lockstep: input fluents
+   first (timeless inputs), then events in perturbed delivery order in
+   small batches, ticking on watermark progress, and a final drain.
+   [check what results] sees the results of every tick and of the drain,
+   one per service; the drain's check is returned. *)
+let feed services ~stream ~check =
+  let ingest items = List.iter (fun svc -> Service.ingest svc items) services in
   let step what f =
-    match (f compiled, f interpreted) with
-    | Ok (c : Service.result), Ok (i : Service.result) ->
-      let snapshot = exact (Lazy.force c.intervals) in
-      if snapshot <> exact (Lazy.force i.intervals) then
-        Alcotest.failf "%s: compiled and interpreted snapshots differ" what;
-      (snapshot, c.stats)
-    | Error e, _ | _, Error e -> Alcotest.failf "%s failed: %s" what e
+    check what
+      (List.map
+         (fun svc -> match f svc with Ok r -> r | Error e -> Alcotest.failf "%s failed: %s" what e)
+         services)
   in
   ingest (List.map (fun (fv, spans) -> Stream.Fluent (fv, spans)) (Stream.input_fluents stream));
   let last_tick = ref None in
   List.iter
     (fun chunk ->
       ingest (List.map (fun e -> Stream.Event e) chunk);
-      match Service.watermark compiled with
+      match Service.watermark (List.hd services) with
       | Some wm when (match !last_tick with None -> true | Some t -> wm >= t + 1800) ->
         ignore (step (Printf.sprintf "tick %d" wm) (fun svc -> Service.tick svc ~now:wm));
         last_tick := Some wm
       | _ -> ())
     (chunks 64 (out_of_order_events ~amount:1500 stream));
   step "drain" Service.drain
+
+(* Replay against a compiled and an interpreted service in lockstep.
+   Every tick's snapshot — what an [--emit ticks] client sees — must be
+   the same from both; the compiled drain result is returned. *)
+let replay ~jobs ~horizon ~event_description ~knowledge ~stream () =
+  let service = service ~jobs ~horizon ~event_description ~knowledge in
+  feed [ service true; service false ] ~stream ~check:(fun what results ->
+      match results with
+      | [ (c : Service.result); (i : Service.result) ] ->
+        let snapshot = exact (Lazy.force c.intervals) in
+        if snapshot <> exact (Lazy.force i.intervals) then
+          Alcotest.failf "%s: compiled and interpreted snapshots differ" what;
+        (snapshot, c.stats)
+      | _ -> assert false)
 
 let check_convergence ~name ~event_description ~knowledge ~stream =
   List.iter
@@ -165,6 +175,42 @@ let test_convergence_provenance () =
       Alcotest.(check bool)
         "revision replays were recorded" true
         ((Derivation.stats ()).Derivation.records > 0))
+
+(* One service replayed alone at jobs 1 with the recorder on, from an
+   empty recorder: the session's decoded derivation records and its
+   bucket count. *)
+let session_records ~compile ~event_description ~knowledge ~stream =
+  Derivation.reset ();
+  let svc = service ~jobs:1 ~horizon:3600 ~event_description ~knowledge compile in
+  let buckets =
+    feed [ svc ] ~stream ~check:(fun _ results ->
+        (List.hd results : Service.result).stats.Service.buckets)
+  in
+  (Derivation.events ~rules:(Engine.labelled_rules event_description) (), buckets)
+
+(* The lockstep replay interleaves two services' records in the one
+   recorder, so it compares intervals only. Run one session after the
+   other instead: a compiled session switches between its buckets'
+   programs and their sinks at every tick, and must still leave the
+   interpreter's record sequence. *)
+let test_session_records () =
+  let data =
+    Maritime.Dataset.generate
+      ~config:{ Maritime.Dataset.seed = 99; replicas = 1; nominal = 2 } ()
+  in
+  let records compile =
+    session_records ~compile ~event_description:Maritime.Gold.event_description
+      ~knowledge:data.knowledge ~stream:data.stream
+  in
+  with_provenance (fun () ->
+      let compiled, buckets = records true in
+      let evicted = (Derivation.stats ()).Derivation.evicted in
+      let interpreted, _ = records false in
+      Alcotest.(check bool) "several buckets" true (buckets > 1);
+      Alcotest.(check int) "nothing evicted" 0 evicted;
+      Alcotest.(check bool) "records kept" true (compiled <> []);
+      Alcotest.(check int) "as many records" (List.length interpreted) (List.length compiled);
+      Alcotest.(check bool) "the same decoded records, in order" true (compiled = interpreted))
 
 (* --- lateness accounting and revision on a hand-built scenario --- *)
 
@@ -332,6 +378,8 @@ let suite =
       test_convergence_fleet;
     Alcotest.test_case "out-of-order replay == batch (provenance on)" `Quick
       test_convergence_provenance;
+    Alcotest.test_case "a session's derivation records: compiled = interpreted" `Quick
+      test_session_records;
     Alcotest.test_case "beyond-horizon items are counted and dropped" `Quick
       test_beyond_horizon_drops;
     Alcotest.test_case "idle entities are evicted, history frozen" `Quick
