@@ -60,6 +60,20 @@ dune exec bin/rtec_cli.exe -- serve "$EXPLAIN_DIR/ds.ed" -k "$EXPLAIN_DIR/ds.kb"
 diff "$EXPLAIN_DIR/batch.out" "$EXPLAIN_DIR/malformed.out" \
   || { echo "serve smoke: malformed lines changed the emitted intervals"; exit 1; }
 
+# Chunked-stdin serve smoke: the same stream reaches serve through a pipe
+# in 4,093-byte pieces with a short pause after each, so serve's reads
+# end mid-line; the emitted intervals must stay byte-identical to
+# `recognise`.
+mkdir "$EXPLAIN_DIR/pieces"
+split -b 4093 "$EXPLAIN_DIR/ds.stream" "$EXPLAIN_DIR/pieces/piece."
+for piece in "$EXPLAIN_DIR"/pieces/piece.*; do
+  cat "$piece"
+  sleep 0.02
+done | dune exec bin/rtec_cli.exe -- serve "$EXPLAIN_DIR/ds.ed" -k "$EXPLAIN_DIR/ds.kb" \
+  -w 3600 -s 1800 --horizon 1800 --tick-every 1800 | grep -v '^%' > "$EXPLAIN_DIR/chunked.out"
+diff "$EXPLAIN_DIR/batch.out" "$EXPLAIN_DIR/chunked.out" \
+  || { echo "serve smoke: a chunked stdin changed the emitted intervals"; exit 1; }
+
 # Per-tick serve smoke: swap each adjacent pair of stream lines, so some
 # events arrive late and revise earlier windows, and require every tick
 # snapshot of the compiled session — `%` lines included — to be

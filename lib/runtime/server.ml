@@ -3,7 +3,7 @@
    drives the {!Service} and broadcasts each emission to every live
    connection. *)
 
-(* [blocked] counts pushes that found the ring full, [dropped] counts
+(* [blocked] counts bursts that had to wait for room, [dropped] counts
    connections detached after a failed write or read; [decode] and
    [emit] are the I/O halves of the stage-latency attribution (route and
    evaluate are recorded inside {!Service}). *)
@@ -24,16 +24,21 @@ type msg =
   | Bad_line of string
   | Client_eof of { slot : int; dropped : bool }
 
-(* Bounded multi-producer single-consumer ring. A full ring blocks the
-   pushing reader, so backpressure reaches a fast producer through flow
-   control instead of growing the heap without bound. [depth] is sampled
-   at every push and pop (a post-run snapshot of it reads 0); [depth_hwm]
-   keeps the deepest point, which is what a capacity decision needs. *)
+(* Bounded multi-producer single-consumer ring of messages, counted in
+   lines and moved in bursts: a reader pushes the lines of one read (at
+   most [ring_capacity] of them) under one lock acquisition, and the
+   evaluator takes every queued line under another. A burst that does
+   not fit blocks its reader until it does, so backpressure reaches a
+   fast producer through flow control instead of growing the heap
+   without bound. [depth] is sampled at every push and take (a post-run
+   snapshot of it reads 0); [depth_hwm] keeps the deepest point, which
+   is what a capacity decision needs. *)
 let ring_capacity = 1024
 
 type ring = {
   queue : msg Queue.t;
   mutable hwm : int;  (* deepest the ring has ever been *)
+  mutable waiting : int;  (* bursts blocked until they fit *)
   lock : Mutex.t;
   not_full : Condition.t;
   not_empty : Condition.t;
@@ -45,32 +50,44 @@ let note_depth r =
   Telemetry.Metrics.set g_queue_depth (float_of_int len);
   Telemetry.Metrics.set g_queue_hwm (float_of_int r.hwm)
 
-let push r x =
+(* Move [burst] (at most [ring_capacity] lines) onto the ring, leaving
+   it empty. *)
+let push r burst =
+  let n = Queue.length burst in
   Mutex.lock r.lock;
-  if Queue.length r.queue = ring_capacity then begin
+  if Queue.length r.queue + n > ring_capacity then begin
     Telemetry.Metrics.incr m_ingest_blocked;
-    while Queue.length r.queue = ring_capacity do
+    r.waiting <- r.waiting + 1;
+    while Queue.length r.queue + n > ring_capacity do
       Condition.wait r.not_full r.lock
-    done
+    done;
+    r.waiting <- r.waiting - 1
   end;
-  Queue.push x r.queue;
+  Queue.transfer burst r.queue;
   note_depth r;
   Condition.signal r.not_empty;
   Mutex.unlock r.lock
 
-let pop r =
+(* Move every queued line onto the evaluator's [batch]. Each waiting
+   reader re-checks whether its burst fits now. *)
+let take r batch =
   Mutex.lock r.lock;
   while Queue.is_empty r.queue do
     Condition.wait r.not_empty r.lock
   done;
-  let x = Queue.pop r.queue in
+  Queue.transfer r.queue batch;
   note_depth r;
-  Condition.signal r.not_full;
-  Mutex.unlock r.lock;
-  x
+  Condition.broadcast r.not_full;
+  Mutex.unlock r.lock
 
+(* A tick line is [tick(T).] and nothing else; anything longer goes to
+   the codec, which rejects a [tick] fact as a bad line. *)
 let decode_line codec line =
-  match Scanf.sscanf_opt line "tick(%d)." (fun t -> t) with
+  match
+    if String.starts_with ~prefix:"tick(" line then
+      Scanf.sscanf_opt line "tick(%d).%!" (fun t -> t)
+    else None
+  with
   | Some t -> Tick_at t
   | None -> (
     match Rtec.Io.Codec.items_of_string codec line with
@@ -80,21 +97,47 @@ let decode_line codec line =
       Bad_line (Printf.sprintf "line %d: %s" line message))
 
 (* Each reader owns its codec, so the atom memo lives as long as the
-   connection. *)
+   connection. It reads its connection in chunks into one reusable
+   buffer and carries an unfinished line over to the next read; at EOF
+   an unterminated last line is a line, as [input_line] has it. Each
+   line is copied out of the buffer (the codec memoises atom names, so
+   it must never see the buffer itself) and decoded into the chunk's
+   burst, which is pushed whole, or every [ring_capacity] lines. *)
 let reader ~slot ~ic ~ring =
   let codec = Rtec.Io.Codec.create () in
+  let buf = Bytes.create 65536 in
+  let pending = Buffer.create 256 in
+  let burst = Queue.create () in
+  let add msg =
+    Queue.push msg burst;
+    if Queue.length burst = ring_capacity then push ring burst
+  in
+  let end_line () =
+    let line = String.trim (Buffer.contents pending) in
+    Buffer.clear pending;
+    if line <> "" && line.[0] <> '%' then
+      add (Telemetry.Metrics.time_us h_stage_decode (fun () -> decode_line codec line))
+  in
   let dropped = ref false in
   (try
-     while true do
-       let line = String.trim (input_line ic) in
-       if line = "" || line.[0] = '%' then ()
-       else
-         push ring (Telemetry.Metrics.time_us h_stage_decode (fun () -> decode_line codec line))
-     done
-   with
-  | End_of_file -> ()
-  | Sys_error _ | Unix.Unix_error _ -> dropped := true);
-  push ring (Client_eof { slot; dropped = !dropped })
+     let n = ref (input ic buf 0 (Bytes.length buf)) in
+     while !n > 0 do
+       let start = ref 0 in
+       for k = 0 to !n - 1 do
+         if Bytes.get buf k = '\n' then begin
+           Buffer.add_subbytes pending buf !start (k - !start);
+           end_line ();
+           start := k + 1
+         end
+       done;
+       Buffer.add_subbytes pending buf !start (!n - !start);
+       if not (Queue.is_empty burst) then push ring burst;
+       n := input ic buf 0 (Bytes.length buf)
+     done;
+     end_line ()
+   with Sys_error _ | Unix.Unix_error _ -> dropped := true);
+  add (Client_eof { slot; dropped = !dropped });
+  if not (Queue.is_empty burst) then push ring burst
 
 (* --- the shared result printer --- *)
 
@@ -208,10 +251,16 @@ let client_eof st ~slot ~dropped =
       ~fields:[ ("client", Telemetry.Log.Int slot) ]
   end
 
-(* The evaluator: a plain loop over [pop] until every connection has
-   sent its EOF, then the final drain and its summary. *)
+(* The evaluator: a plain loop over the ring's messages, taken a batch
+   at a time and handled in order, until every connection has sent its
+   EOF; then the final drain and its summary. *)
 let evaluate ~config ~on_tick st sinks =
   let last_tick = ref None in
+  let batch = Queue.create () in
+  let next () =
+    if Queue.is_empty batch then take st.ring batch;
+    Queue.pop batch
+  in
   let tick now =
     touch st;
     Result.map
@@ -234,7 +283,7 @@ let evaluate ~config ~on_tick st sinks =
   let rec loop open_clients =
     if open_clients = 0 then Ok ()
     else
-      match pop st.ring with
+      match next () with
       | Ingest items -> continue (ingest items) open_clients
       | Tick_at t -> continue (tick t) open_clients
       | Bad_line msg ->
@@ -255,11 +304,12 @@ let evaluate ~config ~on_tick st sinks =
 (* --- admin routes --- *)
 
 let healthz st =
-  let depth = Mutex.protect st.ring.lock (fun () -> Queue.length st.ring.queue) in
+  (* Saturated while a reader waits for room: its burst may not fit a
+     ring that is less than full. *)
+  let saturated = Mutex.protect st.ring.lock (fun () -> st.ring.waiting > 0) in
   let idle_ns = Int64.to_int (Int64.sub (Telemetry.Clock.now_ns ()) st.last_activity) in
-  let saturated = depth = ring_capacity in
-  (* Unhealthy only when the ring is full AND the evaluator has made no
-     progress for 10s — saturation alone is backpressure working. *)
+  (* Unhealthy only when the ring is saturated AND the evaluator has made
+     no progress for 10s — saturation alone is backpressure working. *)
   let stalled = saturated && idle_ns > 10_000_000_000 in
   Telemetry.Admin.json
     ~status:(if stalled then 503 else 200)
@@ -370,6 +420,7 @@ let run ~config ?(on_tick = ignore) svc source =
     {
       queue = Queue.create ();
       hwm = 0;
+      waiting = 0;
       lock = Mutex.create ();
       not_full = Condition.create ();
       not_empty = Condition.create ();

@@ -1,11 +1,19 @@
 (** One serve session, the pipeline behind [rtec_cli serve] with or
     without [--listen]. Every connection — stdin/stdout, a pipe pair, a
-    TCP socket — gets a reader thread that decodes its lines with its
-    own {!Rtec.Io.Codec} into one bounded ring (1024 messages; a full
-    ring blocks the reader). The calling thread is the one evaluator: it
-    feeds a {!Service}, ticks it on [tick(T).] lines and on watermark
-    progress, broadcasts each emission to every live connection and,
-    once all have sent their EOF, drains and emits the final result. A
+    TCP socket — gets a reader thread that reads it in chunks and
+    decodes each complete line with its own {!Rtec.Io.Codec} (an
+    unterminated last line is read at EOF). A reader pushes the lines of
+    one read into one bounded ring as a single burst: the ring holds
+    1,024 lines, a reader cuts bursts at 1,024 lines, and a burst that
+    does not fit blocks its reader until it does. The calling thread is
+    the one evaluator: it takes every queued line at once and handles
+    them in order, one {!Service.ingest} per line. It ticks the service
+    on [tick(T).] lines (exactly that, nothing after the dot) and on
+    watermark progress, broadcasts each emission to every live
+    connection and, once all have sent their EOF, drains and emits the
+    final result. [service.ingest_queue.depth] and [depth_hwm] count
+    queued lines, [service.ingest.blocked] counts bursts that had to
+    wait, and [/healthz] reports [queue_saturated] while one waits. A
     line that does not parse or holds a non-ground fact is ignored with
     a warning and a [Bad_line] flight record, and counted
     ([service.bad_lines], and [bad_lines] in [/statusz]); a connection

@@ -5,8 +5,9 @@
    whose output is closed is dropped while the other still gets
    everything; bad lines leave only a warning, a flight record and a
    count; the admin routes answer mid-session; an exception raised
-   while evaluating fails the session and releases its ports. Every wait
-   polls with a deadline. *)
+   while evaluating fails the session and releases its ports; where the
+   reads of a connection happen to end changes no output byte. Every
+   wait polls with a deadline. *)
 
 open Rtec
 module Server = Runtime.Server
@@ -76,7 +77,9 @@ let send c text =
       output_string c.send text;
       close_out c.send)
 
-let collect c = spawn (fun () -> In_channel.input_all c.recv)
+let collect c =
+  spawn (fun () ->
+      Fun.protect ~finally:(fun () -> close_in c.recv) (fun () -> In_channel.input_all c.recv))
 
 let non_comment output =
   String.concat ""
@@ -145,50 +148,7 @@ let test_two_connections () =
   Alcotest.(check string) "second connection gets the batch answer" expected
     (non_comment (await "output 2" out_b))
 
-(* --- a consumer that stops reading --- *)
-
-let small_ed =
-  [
-    Parser.parse_definition ~name:"svc"
-      "initiatedAt(active(V) = true, T) :- happensAt(start(V), T).\n\
-       terminatedAt(active(V) = true, T) :- happensAt(stop(V), T).";
-  ]
-
-let small_service () =
-  Service.create
-    ~config:(Service.config ~window:10 ~step:10 ())
-    ~event_description:small_ed ~knowledge:Knowledge.empty ()
-
-(* 1,500 [% tick] headers alone overfill a 64 KiB pipe, so the evaluator
-   blocks on its write while the reader keeps decoding: the ring must
-   fill and block the reader. Once the test starts reading, every tick
-   must still come out. *)
-let test_slow_consumer () =
-  with_metrics (fun () ->
-      let blocked0 = counter "service.ingest.blocked" in
-      let input =
-        String.concat ""
-          (List.init 1500 (fun i -> Printf.sprintf "tick(%d).\n" (i + 1))
-          @ List.init 2000 (fun i ->
-                Printf.sprintf "happensAt(%s(v1), %d).\n"
-                  (if i land 1 = 0 then "start" else "stop")
-                  (1501 + i)))
-      in
-      let c = conn () in
-      let session = serve ~config:{ Server.default with emit = `Ticks } (small_service ()) [ c ] in
-      ignore (send c input);
-      poll "the ingest ring to block a reader" (fun () ->
-          counter "service.ingest.blocked" > blocked0);
-      let out = collect c in
-      finish session;
-      let ticks =
-        List.filter
-          (fun l -> String.length l > 7 && String.sub l 0 7 = "% tick ")
-          (String.split_on_char '\n' (await "output" out))
-      in
-      Alcotest.(check int) "every tick emitted" 1500 (List.length ticks))
-
-(* --- a dropped connection, and the admin plane --- *)
+(* --- the admin plane --- *)
 
 let free_port () =
   let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -218,6 +178,91 @@ let client_state port slot =
   let* doc = statusz port in
   let* clients = Option.bind (Telemetry.Json.member "clients" doc) Telemetry.Json.list in
   Option.bind (Telemetry.Json.member "state" (List.nth clients slot)) Telemetry.Json.str
+
+(* /healthz's [queue_saturated]; [None] until the endpoint answers. *)
+let queue_saturated port =
+  match get port "/healthz" with
+  | _, body -> (
+    match Telemetry.Json.member "queue_saturated" (json "/healthz" body) with
+    | Some (Telemetry.Json.Bool b) -> Some b
+    | _ -> None)
+  | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> None
+
+let ingest_queue port key =
+  let ( let* ) = Option.bind in
+  let* doc = statusz port in
+  let* q = Telemetry.Json.member "ingest_queue" doc in
+  Option.bind (Telemetry.Json.member key q) Telemetry.Json.num
+
+let watermark port =
+  Option.bind (Option.bind (statusz port) (Telemetry.Json.member "watermark")) Telemetry.Json.num
+
+(* --- a consumer that stops reading --- *)
+
+let small_ed =
+  [
+    Parser.parse_definition ~name:"svc"
+      "initiatedAt(active(V) = true, T) :- happensAt(start(V), T).\n\
+       terminatedAt(active(V) = true, T) :- happensAt(stop(V), T).";
+  ]
+
+let small_service () =
+  Service.create
+    ~config:(Service.config ~window:10 ~step:10 ())
+    ~event_description:small_ed ~knowledge:Knowledge.empty ()
+
+(* 1,500 [% tick] headers alone overfill a 64 KiB pipe, so the evaluator
+   blocks on its write while the reader keeps decoding: a burst must
+   wait for room, and /healthz must call the ring saturated while it
+   does, though a waiting burst can leave the ring less than full. The
+   connection stays open until every line is ingested, so /statusz can
+   tell how deep the ring got; once the test reads, every tick must
+   still come out. *)
+let test_slow_consumer () =
+  with_metrics (fun () ->
+      let blocked0 = counter "service.ingest.blocked" in
+      let input =
+        String.concat ""
+          (List.init 1500 (fun i -> Printf.sprintf "tick(%d).\n" (i + 1))
+          @ List.init 2000 (fun i ->
+                Printf.sprintf "happensAt(%s(v1), %d).\n"
+                  (if i land 1 = 0 then "start" else "stop")
+                  (1501 + i)))
+      in
+      let port = free_port () in
+      let c = conn () in
+      let session =
+        serve
+          ~config:{ Server.default with emit = `Ticks; admin_port = Some port }
+          (small_service ()) [ c ]
+      in
+      let sent =
+        spawn (fun () ->
+            output_string c.send input;
+            flush c.send)
+      in
+      poll "the ingest ring to block a reader" (fun () ->
+          counter "service.ingest.blocked" > blocked0);
+      poll "/healthz to report the ring saturated" (fun () -> queue_saturated port = Some true);
+      let out = collect c in
+      await "the input to be written" sent;
+      poll "every line to be ingested" (fun () -> watermark port = Some 3500.);
+      (match ingest_queue port "depth_hwm" with
+      | Some hwm ->
+        Alcotest.(check bool)
+          (Printf.sprintf "/statusz depth_hwm %.0f within the ring's 1,024 lines" hwm)
+          true (hwm <= 1024.)
+      | None -> Alcotest.fail "/statusz has no ingest_queue.depth_hwm");
+      close_out c.send;
+      finish session;
+      let ticks =
+        List.filter
+          (fun l -> String.length l > 7 && String.sub l 0 7 = "% tick ")
+          (String.split_on_char '\n' (await "output" out))
+      in
+      Alcotest.(check int) "every tick emitted" 1500 (List.length ticks))
+
+(* --- a dropped connection --- *)
 
 (* The second connection's output is closed before anything is written
    to it. The first emission — a tick snapshot — fails on it: that
@@ -259,10 +304,7 @@ let test_admin_routes () =
   let out = collect c in
   output_string c.send "happensAt(start(v1), 3).\n";
   flush c.send;
-  poll "the line to be ingested" (fun () ->
-      match Option.bind (statusz port) (Telemetry.Json.member "watermark") with
-      | Some (Telemetry.Json.Num 3.) -> true
-      | _ -> false);
+  poll "the line to be ingested" (fun () -> watermark port = Some 3.);
   let status, body = get port "/metrics" in
   Alcotest.(check int) "/metrics answers" 200 status;
   Alcotest.(check bool) "/metrics exposes the ring gauge" true
@@ -354,9 +396,9 @@ let statusz_bad_lines port =
     (Option.bind (statusz port) (Telemetry.Json.member "bad_lines"))
     Telemetry.Json.num
 
-(* With [admin], the connection stays open until [/statusz] counts two
-   bad lines. *)
-let session_output ?admin lines =
+(* With [admin], the connection stays open until [/statusz] counts
+   [bad] bad lines. *)
+let session_output ?admin ?(bad = 0) lines =
   let c = conn () in
   let session =
     serve ~config:{ ticking with admin_port = admin } (maritime_service ~horizon:1800 ()) [ c ]
@@ -368,42 +410,172 @@ let session_output ?admin lines =
     output_string c.send (lines_text lines);
     flush c.send;
     poll "/statusz to count the bad lines" (fun () ->
-        match statusz_bad_lines port with Some n -> n >= 2. | None -> false);
-    Alcotest.(check (option (float 0.))) "/statusz counts each bad line" (Some 2.)
+        match statusz_bad_lines port with Some n -> n >= float bad | None -> false);
+    Alcotest.(check (option (float 0.))) "/statusz counts each bad line" (Some (float bad))
       (statusz_bad_lines port);
     close_out c.send);
   finish session;
   await "output" out
 
-(* An unparsable line, and one line holding a non-ground fact followed by
-   a copy of the first line, are both ignored whole: the output —
-   summary lines included — is byte-identical to the clean session's,
-   and each leaves one warning, one [bad_line] flight record and one
-   count in [service.bad_lines] and in [/statusz]. *)
+(* An unparsable line, a line holding a non-ground fact followed by a
+   copy of the first line, and a tick line with an event after it are
+   each ignored whole: the output — summary lines included — is
+   byte-identical to the clean session's, and each leaves one warning,
+   one [bad_line] flight record and one count in [service.bad_lines] and
+   in [/statusz]. *)
 let test_bad_lines () =
   let lines = stream_lines () in
   let first = List.hd lines in
-  let dirty =
-    first :: "this is not a fact" :: ("happensAt(gap_start(X), 0). " ^ first) :: List.tl lines
+  let bad =
+    [
+      "this is not a fact";
+      "happensAt(gap_start(X), 0). " ^ first;
+      "tick(5). happensAt(stop_end(v1), 20).";
+    ]
   in
+  let n = List.length bad in
   let clean = session_output lines in
   Telemetry.Flight.set_capacity (1 lsl 16);
   Fun.protect ~finally:(fun () -> Telemetry.Flight.set_capacity 4096) @@ fun () ->
   with_metrics @@ fun () ->
   let counted0 = counter "service.bad_lines" in
   let output, log =
-    with_log_file (fun () -> session_output ~admin:(free_port ()) dirty)
+    with_log_file (fun () ->
+        session_output ~admin:(free_port ()) ~bad:n ((first :: bad) @ List.tl lines))
   in
   Alcotest.(check string) "bad lines change no output byte" clean output;
-  Alcotest.(check int) "one bad_line record per bad line" 2 (bad_line_records ());
-  Alcotest.(check int) "service.bad_lines counts each bad line" 2
+  Alcotest.(check int) "one bad_line record per bad line" n (bad_line_records ());
+  Alcotest.(check int) "service.bad_lines counts each bad line" n
     (counter "service.bad_lines" - counted0);
   let warnings =
     List.filter
       (fun l -> contains l "WARN serve: ignoring bad input line")
       (String.split_on_char '\n' log)
   in
-  Alcotest.(check int) "one warning per bad line" 2 (List.length warnings)
+  Alcotest.(check int) "one warning per bad line" n (List.length warnings)
+
+(* --- chunk boundaries --- *)
+
+(* The session's whole output for [pieces], each written and flushed on
+   its own, the next after a yield, so the reader's reads end wherever
+   the pieces do, or wherever the pipe had filled up to. *)
+let served ~config pieces =
+  let c = conn () in
+  let session = serve ~config (small_service ()) [ c ] in
+  let out = collect c in
+  let sent =
+    spawn (fun () ->
+        List.iter
+          (fun p ->
+            output_string c.send p;
+            flush c.send;
+            Thread.yield ())
+          pieces;
+        close_out c.send)
+  in
+  finish session;
+  await "the pieces to be written" sent;
+  await "output" out
+
+(* One line of the protocol text: an event (of vessel [v], at its line's
+   index plus a jitter that can make it late), a tick, a blank line or a
+   comment, maybe padded, each ended by LF or CRLF. *)
+type line = Event of bool * int * int | Tick of int | Blank of string | Comment
+
+let render i = function
+  | Event (start, v, jitter) ->
+    Printf.sprintf "happensAt(%s(v%d), %d)." (if start then "start" else "stop") v (i + jitter)
+  | Tick jitter -> Printf.sprintf "tick(%d)." (i + jitter)
+  | Blank pad -> pad
+  | Comment -> "% a comment"
+
+let gen_line =
+  QCheck2.Gen.(
+    frequency
+      [
+        (20, map3 (fun start v j -> Event (start, v, j)) bool (int_range 1 4) (int_range (-30) 5));
+        (2, map (fun j -> Tick j) (int_range (-5) 5));
+        (1, map (fun pad -> Blank pad) (oneofl [ ""; " "; "\t"; " \r" ]));
+        (1, pure Comment);
+      ])
+
+type case = { lines : (line * bool * bool) list; head : int; sizes : int list }
+
+(* The text: every line, LF- or CRLF-ended and maybe padded with a
+   space, then one more event with no newline at all. *)
+let text_of case =
+  let b = Buffer.create 65536 in
+  List.iteri
+    (fun i (l, crlf, padded) ->
+      if padded then Buffer.add_char b ' ';
+      Buffer.add_string b (render i l);
+      Buffer.add_string b (if crlf then "\r\n" else "\n"))
+    case.lines;
+  Buffer.add_string b (render (List.length case.lines) (Event (false, 1, 0)));
+  Buffer.contents b
+
+(* [text] cut at [sizes] (cycled), except for one piece that starts at
+   byte [head] and runs one byte past its 1,536th newline: more lines
+   than the ring holds, in one write, ending mid-line. *)
+let pieces case text =
+  let len = String.length text and sizes = Array.of_list case.sizes in
+  let rec past_newlines from k =
+    match String.index_from_opt text from '\n' with
+    | Some i when k > 1 -> past_newlines (i + 1) (k - 1)
+    | Some i -> min len (i + 2)
+    | None -> len
+  in
+  let head = min case.head len in
+  let big = past_newlines head 1536 in
+  let rec chop pos stop k acc =
+    if pos >= stop then acc
+    else
+      let n = min sizes.(k mod Array.length sizes) (stop - pos) in
+      chop (pos + n) stop (k + 1) (String.sub text pos n :: acc)
+  in
+  List.rev (chop big len 0 (String.sub text head (big - head) :: chop 0 head 0 []))
+
+let gen_case =
+  QCheck2.Gen.(
+    map3
+      (fun lines head sizes -> { lines; head; sizes })
+      (* the lines shrink only in number: each shrink step serves two
+         sessions *)
+      (list_size (int_range 1600 1800)
+         (no_shrink (triple gen_line bool (frequency [ (9, pure false); (1, pure true) ]))))
+      (int_range 0 4000)
+      (list_size (int_range 1 8)
+         (frequency [ (6, int_range 1 64); (3, int_range 65 1500); (1, int_range 1501 9000) ])))
+
+let print_case case =
+  Printf.sprintf "%d lines, big piece from byte %d, sizes [%s]:\n%s" (List.length case.lines)
+    case.head
+    (String.concat "; " (List.map string_of_int case.sizes))
+    (text_of case)
+
+let ticking_small = { Server.default with emit = `Ticks; tick_every = Some 50 }
+
+(* However the text is cut, the session answers as it does to one write
+   of it: every tick snapshot and the final summary, byte for byte. *)
+let prop_chunk_boundaries =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 19 |])
+    (QCheck2.Test.make ~name:"chunk boundaries change no output byte" ~count:12
+       ~print:print_case gen_case (fun case ->
+         let text = text_of case in
+         String.equal (served ~config:ticking_small [ text ])
+           (served ~config:ticking_small (pieces case text))))
+
+(* A last line with no newline is read at EOF, as [input_line] reads
+   it: its event closes the interval. *)
+let test_unterminated_last_line () =
+  let text = "happensAt(start(v1), 3).\nhappensAt(stop(v1), 7)." in
+  let output = served ~config:Server.default [ text ] in
+  Alcotest.(check string) "same answer as the terminated text"
+    (served ~config:Server.default [ text ^ "\n" ])
+    output;
+  Alcotest.(check string) "the last line's event closes the interval"
+    "holdsFor(active(v1) = true, [(4,8)]).\n" (non_comment output)
 
 let suite =
   [
@@ -416,4 +588,7 @@ let suite =
     Alcotest.test_case "bad lines leave a warning and a flight record" `Quick test_bad_lines;
     Alcotest.test_case "an exception in evaluation fails the session, frees its ports" `Quick
       test_exception_releases_ports;
+    Alcotest.test_case "an unterminated last line is read at EOF" `Quick
+      test_unterminated_last_line;
+    prop_chunk_boundaries;
   ]

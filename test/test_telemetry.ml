@@ -510,8 +510,15 @@ let test_cli_flush_on_failure () =
       let oc = open_out stream in
       output_string oc "happensAt(e(v0), 1).\n";
       close_out oc;
+      (* the CLI is built next to this test, in ../bin from its directory,
+         whatever the working directory is *)
+      let cli =
+        Filename.concat
+          (Filename.dirname (Filename.dirname Sys.executable_name))
+          (Filename.concat "bin" "rtec_cli.exe")
+      in
       let cmd =
-        Printf.sprintf "../bin/rtec_cli.exe recognise %s %s --trace %s 2>/dev/null"
+        Printf.sprintf "%s recognise %s %s --trace %s 2>/dev/null" (Filename.quote cli)
           (Filename.quote ed) (Filename.quote stream) (Filename.quote tmp)
       in
       let status = Sys.command cmd in
