@@ -74,6 +74,25 @@ done | dune exec bin/rtec_cli.exe -- serve "$EXPLAIN_DIR/ds.ed" -k "$EXPLAIN_DIR
 diff "$EXPLAIN_DIR/batch.out" "$EXPLAIN_DIR/chunked.out" \
   || { echo "serve smoke: a chunked stdin changed the emitted intervals"; exit 1; }
 
+# Two-copy serve smoke: the stream, then a copy of its events shifted
+# 50,000 s later (input fluent lines are not copied). At horizon 1800 the
+# gap between the copies lets a trim drop the whole first copy from each
+# bucket, and the buckets' refreshed programs evaluate the second copy;
+# the emitted intervals must be byte-identical to `recognise` over the
+# same two-copy stream.
+{
+  cat "$EXPLAIN_DIR/ds.stream"
+  awk '/^happensAt\(/ { t = $NF; sub(/\)\.$/, "", t); sub(/[0-9]+\)\.$/, (t + 50000) ")."); print }' \
+    "$EXPLAIN_DIR/ds.stream"
+} > "$EXPLAIN_DIR/twice.stream"
+dune exec bin/rtec_cli.exe -- recognise "$EXPLAIN_DIR/ds.ed" "$EXPLAIN_DIR/twice.stream" \
+  -k "$EXPLAIN_DIR/ds.kb" -w 3600 -s 1800 | grep -v '^%' > "$EXPLAIN_DIR/twice.batch.out"
+dune exec bin/rtec_cli.exe -- serve "$EXPLAIN_DIR/ds.ed" -k "$EXPLAIN_DIR/ds.kb" \
+  -w 3600 -s 1800 --horizon 1800 --tick-every 1800 < "$EXPLAIN_DIR/twice.stream" \
+  | grep -v '^%' > "$EXPLAIN_DIR/twice.serve.out"
+diff "$EXPLAIN_DIR/twice.batch.out" "$EXPLAIN_DIR/twice.serve.out" \
+  || { echo "serve smoke: two-copy stream output diverges from recognise"; exit 1; }
+
 # Per-tick serve smoke: swap each adjacent pair of stream lines, so some
 # events arrive late and revise earlier windows, and require every tick
 # snapshot of the compiled session — `%` lines included — to be

@@ -12,9 +12,11 @@
 
    The program outlives one stream value: each event table sits in a
    cell that its closures read on entry, and [refresh] swaps in the
-   table of a grown stream, interning only the events past the prefix
-   the old table already covers. Rules, knowledge tables, the intern
-   table and the probe memos survive a refresh.
+   table of a grown or trimmed stream, keeping the rows of the run of
+   events the old table already covers and interning only the rest.
+   Rules, knowledge tables, the intern table and the probe memos survive
+   a refresh: intern ids are never reused, so every id baked into them
+   stays valid whatever the table's stream lost.
 
    A query pays only for what can match: a rule whose first literal is
    a positive happensAt is not entered when that literal's table holds
@@ -124,21 +126,44 @@ let intern_args intern terms =
     terms;
   (ids, tarr, nums)
 
+(* First index with time >= t. *)
+let lower_bound times t =
+  let lo = ref 0 and hi = ref (Array.length times) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if times.(mid) < t then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
 let no_candidates = { c_src = [||]; c_times = [||]; c_ids = [||]; c_terms = [||]; c_nums = [||] }
 
 (* The table of an indicator's event array. Rows of [prev] are kept for
-   the prefix of [events] that is physically [prev]'s source — a grown
-   stream shares the events it already had, and the merge keeps them in
-   order — so only the events after that prefix are interned. *)
+   the leading run of [events] that is physically a run of [prev]'s
+   source, found by locating [events.(0)] there (binary search on the
+   times, then physical identity among equal times): a grown stream
+   shares the events it already had from offset 0, a trimmed one
+   ([Stream.drop_before]) a suffix of them, and merges keep them in
+   order. Only the events after that run are interned. *)
 let events_table ?(prev = no_candidates) intern events =
-  let n = Array.length events in
-  let keep = ref 0 and shared = min n (Array.length prev.c_src) in
-  while !keep < shared && events.(!keep) == prev.c_src.(!keep) do
+  let n = Array.length events and src = prev.c_src and times = prev.c_times in
+  let off =
+    if n = 0 then 0
+    else begin
+      let e0 : Stream.event = events.(0) in
+      let i = ref (lower_bound times e0.time) in
+      while !i < Array.length src && times.(!i) = e0.time && src.(!i) != e0 do
+        incr i
+      done;
+      !i
+    end
+  in
+  let keep = ref 0 and shared = min n (Array.length src - off) in
+  while !keep < shared && events.(!keep) == src.(off + !keep) do
     incr keep
   done;
   let extend rows fill =
     let a = Array.make n fill in
-    Array.blit rows 0 a 0 !keep;
+    Array.blit rows off a 0 !keep;
     a
   in
   let c_times = extend prev.c_times 0 and c_ids = extend prev.c_ids [||] in
@@ -205,15 +230,6 @@ let rows_by_arg facts k =
         Hashtbl.replace rows id (j :: Option.value ~default:[] (Hashtbl.find_opt rows id))
       done;
       Hashtbl.to_seq rows |> Seq.map (fun (id, js) -> (id, Array.of_list js)) |> Hashtbl.of_seq)
-
-(* First index with time >= t. *)
-let lower_bound times t =
-  let lo = ref 0 and hi = ref (Array.length times) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if times.(mid) < t then lo := mid + 1 else hi := mid
-  done;
-  !lo
 
 (* --- rule compilation --- *)
 

@@ -4,10 +4,10 @@
     [compile] specialises every [initiatedAt]/[terminatedAt] rule of an
     event description against a stream and knowledge base: candidate
     events and facts are pre-interned into flat per-indicator tables,
-    and {!refresh} moves the event tables to a grown stream without
-    recompiling. Pattern matching becomes integer comparison on {!Intern}
-    ids, numeric guards read unboxed floats, and [holdsAt] probes hit
-    the int-keyed engine cache through a callback. A compiled chain
+    and {!refresh} moves the event tables to a grown or trimmed stream
+    without recompiling. Pattern matching becomes integer comparison on
+    {!Intern} ids, numeric guards read unboxed floats, and [holdsAt]
+    probes hit the int-keyed engine cache through a callback. A compiled chain
     explores exactly the search tree the interpreter would (same
     candidate order, same depth-first backtracking), so recognition
     results — and the engine's hit/miss/rule-evaluation counters — are
@@ -44,13 +44,16 @@ val compile :
 val refresh : program -> Stream.t -> unit
 (** Point the program's event tables at [stream]. An indicator whose
     event array is physically the one its table was built from keeps the
-    table; otherwise the rows for the prefix the new array physically
-    shares with the old one are kept and only the events after it are
-    interned. Rules, closures, knowledge tables, the intern table and
-    the probe memos are untouched, so evaluation against the refreshed
-    program equals evaluation against a fresh {!compile} of [stream].
-    The intern table keeps every term it ever held: after [stream] lost
-    history, compile afresh to bound the table by the retained stream. *)
+    table; otherwise the new array's first event is looked up in the old
+    one, the rows of the run the two arrays physically share from there
+    are kept — from offset 0 for a grown stream, from inside the old
+    array for a trimmed one ([Stream.drop_before]) — and only the events
+    after that run are interned. Rules, closures, knowledge tables, the
+    intern table and the probe memos are untouched, so evaluation against
+    the refreshed program equals evaluation against a fresh {!compile} of
+    [stream]. The intern table keeps every term it ever held: to bound it
+    by a trimmed stream, compile afresh ([Window.Session] does once the
+    table has doubled since its last compile). *)
 
 val intern : program -> Intern.t
 (** The program's intern table. The engine shares it with its cache so

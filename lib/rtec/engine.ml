@@ -725,23 +725,23 @@ type prepared = {
   p_compiled : Compiled.program option;
 }
 
-let prepare_run ?(carry = []) ?(universe = []) ?input_from ?compiled ~plan ~knowledge
-    ~stream ~from ~until () =
+let prepare_run ?(carry = []) ?(universe = []) ?input_from ?origin ?compiled ~plan
+    ~knowledge ~stream ~from ~until () =
   match plan.order with
   | Error e -> Result.Error e
   | Ok order ->
-    let lo, _ = Stream.extent stream in
+    let origin = Option.value ~default:(fst (Stream.extent stream)) origin in
     (* When evaluating only the step delta of a larger window, [input_from]
        is the true window start: input fluents are clamped against it, not
        against the delta start. *)
     let input_from = Option.value ~default:from input_from in
     let carry =
       (* [initially] declarations only apply when the window reaches back
-         to the start of the stream; afterwards the carry list carries
-         their effect forward. *)
+         to the origin; afterwards the carry list carries their effect
+         forward. *)
       List.map (fun fv -> (fv, "carry")) carry
       @
-      if from <= lo then List.map (fun fv -> (fv, "initially")) plan.initially else []
+      if from <= origin then List.map (fun fv -> (fv, "initially")) plan.initially else []
     in
     (* A compiled program shares its intern table with the cache, so the
        fvp ids baked into rule closures address cache slots directly. *)
@@ -801,10 +801,11 @@ let evaluate_prepared p =
   in
   evaluate p.p_order
 
-let run ?carry ?universe ?input_from ?compiled ~plan ~knowledge ~stream ~from ~until () =
+let run ?carry ?universe ?input_from ?origin ?compiled ~plan ~knowledge ~stream ~from ~until
+    () =
   Result.bind
-    (prepare_run ?carry ?universe ?input_from ?compiled ~plan ~knowledge ~stream ~from
-       ~until ())
+    (prepare_run ?carry ?universe ?input_from ?origin ?compiled ~plan ~knowledge ~stream
+       ~from ~until ())
     (fun p ->
       Result.map (fun () -> Cache.to_result p.p_env.cache) (evaluate_prepared p))
 

@@ -38,6 +38,7 @@ val run :
   ?carry:fvp list ->
   ?universe:fvp list ->
   ?input_from:int ->
+  ?origin:int ->
   ?compiled:Compiled.program ->
   plan:plan ->
   knowledge:Knowledge.t ->
@@ -56,10 +57,12 @@ val run :
     pass even when the enabling fluent is quiet in the current window.
     [input_from] (default [from]) is the window start used to clamp input
     statically determined fluents — pass the true window start when [from]
-    is only the step delta of a larger window. When the window reaches the
-    start of the stream, ground [initially(F=V)] facts of the event
-    description are added to the carry. Fails when the description is not
-    stratified or a fluent mixes rule kinds.
+    is only the step delta of a larger window. When [from <= origin],
+    ground [initially(F=V)] facts of the event description are added to
+    the carry. [origin] (default: the stream's first event time) is the
+    start of the timeline: a session passes its grid origin, which stays
+    put when the session's stream is trimmed. Fails when the description
+    is not stratified or a fluent mixes rule kinds.
 
     [compiled] is a rule program from {!Compiled.compile} (for this plan,
     knowledge base and stream): transition rules then run as

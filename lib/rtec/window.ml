@@ -43,11 +43,15 @@ module Session = struct
     delta_ok : bool;
     mutable stream : Stream.t;
     (* The compiled program and the stream value (physical identity —
-       streams are immutable) its event tables mirror. A grown stream
-       refreshes the tables in place; a trimmed one drops the program,
-       so the next query compiles afresh and the intern table forgets
-       the trimmed history. *)
+       streams are immutable) its event tables mirror. A changed stream
+       — grown, merged or trimmed — refreshes the tables in place. A
+       trim drops the program once its intern table holds more than
+       twice the [compiled_terms] it held right after compiling, so the
+       next query compiles afresh: the table stays bounded by the
+       retained stream, and each compile is paid for by at least as many
+       terms interned since the last. *)
     mutable compiled : (Stream.t * Compiled.program) option;
+    mutable compiled_terms : int;
     mutable accumulated : Interval.t FvpMap.t;
     mutable prev_q : int option;
     mutable queries : int;
@@ -79,6 +83,7 @@ module Session = struct
           delta_ok = step <= window && Engine.window_insensitive plan;
           stream;
           compiled = None;
+          compiled_terms = 0;
           accumulated = FvpMap.empty;
           prev_q = None;
           queries = 0;
@@ -88,7 +93,10 @@ module Session = struct
   let stream t = t.stream
   let set_stream ?(trimmed = false) t stream =
     t.stream <- stream;
-    if trimmed then t.compiled <- None
+    match t.compiled with
+    | Some (_, p) when trimmed && Intern.term_count (Compiled.intern p) > 2 * t.compiled_terms ->
+      t.compiled <- None
+    | _ -> ()
   let prev_q t = t.prev_q
   let delta_ok t = t.delta_ok
 
@@ -108,6 +116,7 @@ module Session = struct
             ~stream:t.stream ()
         in
         t.compiled <- Some (t.stream, p);
+        t.compiled_terms <- Intern.term_count (Compiled.intern p);
         Some p
 
   let record t (fv, spans) =
@@ -143,7 +152,7 @@ module Session = struct
     Telemetry.Metrics.observe h_carry (float_of_int (List.length carry));
     let sp = Telemetry.Trace.start "window.query" in
     let outcome =
-      Engine.run ~carry ~universe ~input_from:window_start ?compiled ~plan:t.plan
+      Engine.run ~carry ~universe ~input_from:window_start ~origin:lo ?compiled ~plan:t.plan
         ~knowledge:t.knowledge ~stream:t.stream ~from:eval_from ~until:q ()
     in
     Telemetry.Trace.finish sp

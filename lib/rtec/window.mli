@@ -52,16 +52,17 @@ module Session : sig
       [compile], the default) is built lazily at the first {!process},
       counted by the [window.compiles] metric. When the session's stream
       value has changed since, the next {!process} refreshes it
-      ({!Compiled.refresh}) rather than compiling again — unless
-      {!set_stream} was told the stream lost history. *)
+      ({!Compiled.refresh}) rather than compiling again. *)
 
   val set_stream : ?trimmed:bool -> t -> Stream.t -> unit
-  (** Replace the stream the next queries evaluate against. By default
-      the compiled program is refreshed, which suits a stream that only
-      grew (ingestion appends, bucket merges, late inserts); pass
-      [~trimmed:true] when it lost history ([Stream.drop_before]), so
-      the next query compiles afresh and the program's intern table stays
-      bounded by the retained stream. *)
+  (** Replace the stream the next queries evaluate against; the next
+      query refreshes the compiled program onto it. Pass [~trimmed:true]
+      when the stream lost history ([Stream.drop_before]): once the
+      program's intern table holds more than twice the terms it held
+      right after its last compile, the program is dropped and the next
+      query compiles afresh. That keeps the table bounded by the
+      retained stream at amortised cost: each compile is paid for by at
+      least as many terms interned since the previous one. *)
 
   val stream : t -> Stream.t
   val prev_q : t -> int option
@@ -75,7 +76,9 @@ module Session : sig
       and folds the result into the accumulated state. Query times must
       be presented in increasing order (the grid both {!run} and the
       service generate). [lo] is the grid origin: the full stream's
-      extent start, identical across entity shards. *)
+      extent start, identical across entity shards and unmoved by
+      trims. Ground [initially] facts apply to a query only when its
+      evaluation starts at or before [lo]. *)
 
   val save : t -> checkpoint
   val restore : t -> checkpoint -> unit

@@ -635,9 +635,10 @@ let finalise_and_evict svc ~w ~now =
           in
           go [] b.pending;
           (* Trim finalised history once at least a window's worth is
-             droppable, so idle buckets keep their compiled program. A
-             trim recompiles, which keeps the program's intern table
-             bounded by the retained stream. *)
+             droppable. The session refreshes its compiled program onto
+             the retained suffix, and compiles afresh only once the
+             program's intern table has doubled since its last compile,
+             which keeps the table bounded by the retained stream. *)
           match b.floor with
           | Some (fq, _) when Rtec.Stream.size b.stream > 0 ->
             let keep_from = fq - w + 2 in

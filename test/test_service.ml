@@ -4,9 +4,11 @@
    tick's snapshot of a compiled session equals the interpreted one, as
    does the derivation record sequence of a whole session;
    beyond-horizon items are counted and dropped; idle entities are
-   evicted with their recognised history frozen in the result; a session
-   compiles once and again only after a trim; a batch rejected for a
-   non-ground item leaves the service untouched. *)
+   evicted with their recognised history frozen in the result; a bucket
+   compiles once and keeps its program across trims until its intern
+   table doubles; initially facts apply at the grid origin however the
+   stream is trimmed; a batch rejected for a non-ground item leaves the
+   service untouched. *)
 
 open Rtec
 module Service = Runtime.Service
@@ -323,7 +325,7 @@ let test_rejected_batch_leaves_no_trace () =
   Alcotest.(check bool) "same stats as a service that never saw the batch" true
     (poisoned_stats = clean_stats)
 
-(* --- one compile per session, a fresh one per trim --- *)
+(* --- one compile per bucket, kept across trims --- *)
 
 let stop_ed =
   [
@@ -332,14 +334,25 @@ let stop_ed =
        terminatedAt(stopped(V) = true, T) :- happensAt(stop_end(V), T).";
   ]
 
+(* The same description over events that carry a second argument, read
+   by the rules' patterns. *)
+let fresh_ed =
+  [
+    Parser.parse_definition ~name:"stop"
+      "initiatedAt(stopped(V) = true, T) :- happensAt(stop_start(V, Z), T).\n\
+       terminatedAt(stopped(V) = true, T) :- happensAt(stop_end(V, Z), T).";
+  ]
+
 (* [window.compiles] over five vessels that never interact, each
    reporting once per quarter hour for 12 h, ticked at every step
-   boundary and drained. *)
-let compiles ~horizon =
+   boundary and drained. With [fresh], every event carries an atom no
+   other event has, so each bucket's intern table keeps growing. *)
+let compiles ?(fresh = false) ~horizon () =
   let svc =
     Service.create
       ~config:(Service.config ~window:3600 ~step:1800 ~horizon ())
-      ~event_description:stop_ed ~knowledge:Knowledge.empty ()
+      ~event_description:(if fresh then fresh_ed else stop_ed)
+      ~knowledge:Knowledge.empty ()
   in
   Telemetry.Metrics.reset ();
   Telemetry.Metrics.enable ();
@@ -355,20 +368,79 @@ let compiles ~horizon =
         Service.ingest svc
           (List.init 5 (fun v ->
                let kind = if (k + v) land 1 = 0 then "stop_start" else "stop_end" in
-               Stream.Event (event kind (Printf.sprintf "v%d" v) (t + (60 * v)))))
+               let vessel = Term.Atom (Printf.sprintf "v%d" v) in
+               let args =
+                 if fresh then [ vessel; Term.Atom (Printf.sprintf "z%d_%d" k v) ] else [ vessel ]
+               in
+               Stream.Event { Stream.time = t + (60 * v); term = Term.app kind args }))
       done;
       ok "drain" (Service.drain svc);
       Option.value ~default:0
         (Telemetry.Metrics.find_counter (Telemetry.Metrics.snapshot ()) "window.compiles"))
 
-(* Streams that only grow refresh the compiled program, whatever the
-   number of ticks; a trim ([horizon > 0]) compiles afresh, so the
-   intern table forgets the trimmed history. *)
-let test_compiles_per_session () =
-  Alcotest.(check int) "horizon 0: one compile per vessel" 5 (compiles ~horizon:0);
-  let trimmed = compiles ~horizon:1800 in
-  if trimmed <= 5 then
-    Alcotest.failf "horizon 1800: %d compiles, expected a fresh compile per trim" trimmed
+(* Whether a bucket's stream only grows ([horizon 0]) or is trimmed
+   ([horizon 1800]), its program is compiled once and then refreshed:
+   each trim keeps it, since the intern table never doubles here. *)
+let test_compiles_per_bucket () =
+  Alcotest.(check int) "horizon 0: one compile per vessel" 5 (compiles ~horizon:0 ());
+  Alcotest.(check int) "horizon 1800: one compile per vessel" 5 (compiles ~horizon:1800 ())
+
+(* With a fresh atom per event, a bucket's intern table doubles every
+   few trims, and the trim after that compiles afresh. The count is
+   exact: more than one per vessel, and fewer than the 36 that a compile
+   at every trim makes on this fixture (31 trims). *)
+let test_compiles_on_doubling () =
+  Alcotest.(check int) "horizon 1800, a fresh atom per event" 21
+    (compiles ~fresh:true ~horizon:1800 ())
+
+(* --- initially facts survive trims --- *)
+
+let status_ed =
+  [
+    Parser.parse_definition ~name:"status"
+      "initially(status(s1) = on).\n\
+       terminatedAt(status(s1) = on, T) :- happensAt(off(s1), T).\n\
+       initiatedAt(status(s1) = on, T) :- happensAt(on(s1), T).";
+  ]
+
+(* A trim moves the bucket's first event past the start of later
+   queries; the [initially] fact still applies at the grid origin only.
+   [off(s1)] at 100 ends the initial status and nothing turns it on
+   again, so a service at horizon 1800, ticked at every 1800 s boundary
+   and drained, answers what the batch run does. *)
+let test_initially_after_trim () =
+  let events =
+    event "off" "s1" 100
+    :: List.map (event "ping" "s1") [ 300; 600; 900; 20000; 20300; 20600; 21000 ]
+  in
+  let svc =
+    Service.create
+      ~config:(Service.config ~window:3600 ~step:1800 ~horizon:1800 ())
+      ~event_description:status_ed ~knowledge:Knowledge.empty ()
+  in
+  let ok what = function Ok r -> r | Error e -> Alcotest.failf "%s failed: %s" what e in
+  let next = ref 1800 in
+  List.iter
+    (fun (e : Stream.event) ->
+      while e.time > !next do
+        ignore (ok "tick" (Service.tick svc ~now:!next));
+        next := !next + 1800
+      done;
+      Service.ingest svc [ Stream.Event e ])
+    events;
+  let served = exact (Lazy.force (ok "drain" (Service.drain svc)).intervals) in
+  let expected =
+    match
+      Runtime.run
+        ~config:(Runtime.config ~window:3600 ~step:1800 ())
+        ~event_description:status_ed ~knowledge:Knowledge.empty ~stream:(Stream.make events) ()
+    with
+    | Ok (result, _) -> exact result
+    | Error e -> Alcotest.failf "batch recognition failed: %s" e
+  in
+  Alcotest.(check bool) "batch holds status(s1) = on over (100, 101) only" true
+    (expected = [ ("status(s1)", "on", [ (100, 101) ]) ]);
+  Alcotest.(check bool) "served == batch" true (served = expected)
 
 let suite =
   [
@@ -384,8 +456,12 @@ let suite =
       test_beyond_horizon_drops;
     Alcotest.test_case "idle entities are evicted, history frozen" `Quick
       test_ttl_eviction;
-    Alcotest.test_case "one compile per session, a fresh one per trim" `Quick
-      test_compiles_per_session;
+    Alcotest.test_case "one compile per bucket, kept across trims" `Quick
+      test_compiles_per_bucket;
+    Alcotest.test_case "a trim compiles afresh once the intern table doubles" `Quick
+      test_compiles_on_doubling;
+    Alcotest.test_case "initially applies at the grid origin after trims" `Quick
+      test_initially_after_trim;
     Alcotest.test_case "a rejected batch leaves no trace" `Quick
       test_rejected_batch_leaves_no_trace;
   ]
