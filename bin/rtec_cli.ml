@@ -372,14 +372,7 @@ let serve_cmd =
              ~compile:(not flags.interpret) ~horizon ?ttl ())
         ~event_description:ed ~knowledge ()
     in
-    let config =
-      {
-        Runtime.Server.tick_every;
-        emit;
-        provenance = Option.is_some flags.provenance;
-        admin_port;
-      }
-    in
+    let config = { Runtime.Server.tick_every; emit; admin_port } in
     let source =
       match listen with
       | None -> Runtime.Server.Channels [ (stdin, stdout) ]

@@ -93,6 +93,26 @@ dune exec bin/rtec_cli.exe -- serve "$EXPLAIN_DIR/ds.ed" -k "$EXPLAIN_DIR/ds.kb"
 diff "$EXPLAIN_DIR/twice.batch.out" "$EXPLAIN_DIR/twice.serve.out" \
   || { echo "serve smoke: two-copy stream output diverges from recognise"; exit 1; }
 
+# Churn serve smoke: 2,000 vessels, a new one every 36 s, each sending
+# four alternating stop_start/stop_end events a quarter hour apart, under
+# a two-rule stop description. serve runs with --ttl 3600, so it evicts
+# every vessel that has gone quiet; its intervals must be byte-identical
+# to `recognise`, and its summary must show the evictions.
+awk -v N=2000 'BEGIN { for (i = 0; i < N; i++) for (k = 0; k < 4; k++) { t = i*36 + k*900 + 7; printf "%d happensAt(%s(c%d), %d).\n", t, (k % 2 ? "stop_end" : "stop_start"), i, t } }' \
+  | sort -n -s -k1,1 | cut -d' ' -f2- > "$EXPLAIN_DIR/churn.stream"
+printf '%s\n' \
+  'initiatedAt(stopped(V) = true, T) :- happensAt(stop_start(V), T).' \
+  'terminatedAt(stopped(V) = true, T) :- happensAt(stop_end(V), T).' > "$EXPLAIN_DIR/churn.ed"
+dune exec bin/rtec_cli.exe -- recognise "$EXPLAIN_DIR/churn.ed" "$EXPLAIN_DIR/churn.stream" \
+  -w 3600 -s 1800 | grep -v '^%' > "$EXPLAIN_DIR/churn.batch.out"
+dune exec bin/rtec_cli.exe -- serve "$EXPLAIN_DIR/churn.ed" -w 3600 -s 1800 \
+  --horizon 1800 --ttl 3600 --tick-every 1800 < "$EXPLAIN_DIR/churn.stream" \
+  > "$EXPLAIN_DIR/churn.serve.out"
+grep -v '^%' "$EXPLAIN_DIR/churn.serve.out" | diff "$EXPLAIN_DIR/churn.batch.out" - \
+  || { echo "serve smoke: churned fleet output diverges from recognise"; exit 1; }
+grep -q ' 101 active / 1899 evicted entities$' "$EXPLAIN_DIR/churn.serve.out" \
+  || { echo "serve smoke: churned fleet was not evicted as expected"; exit 1; }
+
 # Per-tick serve smoke: swap each adjacent pair of stream lines, so some
 # events arrive late and revise earlier windows, and require every tick
 # snapshot of the compiled session — `%` lines included — to be

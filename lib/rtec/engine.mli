@@ -28,6 +28,10 @@ val plan : Ast.t -> plan
 (** Never fails: a cyclic description's plan keeps the cycle error, and
     every {!run} over it fails with that message. *)
 
+val initial_fvps : Ast.t -> fvp list
+(** The description's ground [initially(F=V)] facts, the ones {!run}
+    applies; any other [initially] fact is ignored. *)
+
 val analysis : plan -> Dependency.t
 (** The plan's dependency analysis, as {!Compiled.compile} takes it. *)
 

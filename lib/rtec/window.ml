@@ -189,23 +189,6 @@ module Session = struct
     t.queries <- cp.cp_queries;
     t.events_processed <- cp.cp_events_processed
 
-  (* Union of two evaluation states over disjoint entity components: the
-     streaming service calls this when a cross-entity item joins two
-     previously independent buckets. Both sides must have processed the
-     same query grid (the service guarantees it), so the merged state is
-     exactly what one session over the union stream would hold. *)
-  let absorb t other =
-    t.accumulated <-
-      FvpMap.union
-        (fun _ a b -> Some (Interval.union a b))
-        t.accumulated other.accumulated;
-    t.prev_q <-
-      (match (t.prev_q, other.prev_q) with
-      | None, x | x, None -> x
-      | Some a, Some b -> Some (max a b));
-    t.queries <- t.queries + other.queries;
-    t.events_processed <- t.events_processed + other.events_processed
-
   let merge_checkpoint a b =
     {
       cp_accumulated =
@@ -219,6 +202,13 @@ module Session = struct
       cp_queries = a.cp_queries + b.cp_queries;
       cp_events_processed = a.cp_events_processed + b.cp_events_processed;
     }
+
+  (* Union of two evaluation states over disjoint entity components: the
+     streaming service calls this when a cross-entity item joins two
+     previously independent buckets. Both sides must have processed the
+     same query grid (the service guarantees it), so the merged state is
+     exactly what one session over the union stream would hold. *)
+  let absorb t other = restore t (merge_checkpoint (save t) (save other))
 
   let result t = FvpMap.fold (fun fv spans acc -> (fv, spans) :: acc) t.accumulated []
 

@@ -166,14 +166,14 @@ let pp_tick fmt (now, (r : Service.result)) =
     (match r.watermark with None -> "-" | Some w -> string_of_int w);
   pp_intervals fmt (Lazy.force r.intervals)
 
-let pp_final ~provenance fmt (r : Service.result) =
+let pp_final fmt (r : Service.result) =
   let s = r.stats in
   pp_summary fmt s;
   Format.fprintf fmt
     "%% %d appends, %d late events (%d dropped), %d revisions, %d active / %d evicted \
      entities@\n"
     s.appends s.late_events s.dropped_late s.revisions s.entities_active s.entities_evicted;
-  if provenance then pp_provenance fmt ();
+  if Rtec.Derivation.is_enabled () then pp_provenance fmt ();
   pp_intervals fmt (Lazy.force r.intervals)
 
 (* --- the session --- *)
@@ -181,11 +181,10 @@ let pp_final ~provenance fmt (r : Service.result) =
 type config = {
   tick_every : int option;
   emit : [ `Final | `Ticks ];
-  provenance : bool;
   admin_port : int option;
 }
 
-let default = { tick_every = None; emit = `Final; provenance = false; admin_port = None }
+let default = { tick_every = None; emit = `Final; admin_port = None }
 
 type source = Channels of (in_channel * out_channel) list | Listen of { port : int; clients : int }
 type error = Setup of string | Recognition of string
@@ -298,7 +297,7 @@ let evaluate ~config ~on_tick st sinks =
   match Result.bind (loop (List.length sinks)) (fun () -> Service.drain st.svc) with
   | Error e -> Error (Recognition e)
   | Ok r ->
-    emit st sinks (pp_final ~provenance:config.provenance) r;
+    emit st sinks pp_final r;
     Ok ()
 
 (* --- admin routes --- *)

@@ -11,7 +11,8 @@
     on [tick(T).] lines (exactly that, nothing after the dot) and on
     watermark progress, broadcasts each emission to every live
     connection and, once all have sent their EOF, drains and emits the
-    final result. [service.ingest_queue.depth] and [depth_hwm] count
+    final result, whose summary includes the {!pp_provenance} line while
+    the derivation recorder is enabled. [service.ingest_queue.depth] and [depth_hwm] count
     queued lines, [service.ingest.blocked] counts bursts that had to
     wait, and [/healthz] reports [queue_saturated] while one waits. A
     line that does not parse or holds a non-ground fact is ignored with
@@ -23,14 +24,13 @@
 type config = {
   tick_every : int option;  (** tick once the watermark has moved this far *)
   emit : [ `Final | `Ticks ];  (** [`Ticks] adds a [% tick] snapshot after every tick *)
-  provenance : bool;  (** add the (caller-enabled) recorder's stats line to the summary *)
   admin_port : int option;
       (** serve [/metrics], [/healthz], [/statusz] and [/lastz] on
           127.0.0.1 ([0]: ephemeral, logged); implies metrics collection *)
 }
 
 val default : config
-(** No auto-ticks, final emission only, no provenance line, no admin. *)
+(** No auto-ticks, final emission only, no admin. *)
 
 type source =
   | Channels of (in_channel * out_channel) list

@@ -94,18 +94,9 @@ type bucket = {
       (* the newest finalised checkpoint: old enough that no acceptable
          late item can require earlier state *)
   mutable entities : Rtec.Term.t list;
+  mutable mentioned : Rtec.Term.t list;  (* the subterms it entered in [mentions] *)
   mutable last_seen : int;
   mutable revise_from : int option;
-  mutable alive : bool;
-  mutable merged_into : bucket option;
-  (* Reusable ingest scratch: routed items land here (amortised array
-     pushes, no per-item allocation) and one [Stream.append_items] per
-     touched bucket flushes them at the end of the ingest call. *)
-  mutable scr_events : Rtec.Stream.event array;
-  mutable scr_n : int;
-  mutable scr_fluents : ((Rtec.Term.t * Rtec.Term.t) * Rtec.Interval.t) list;
-      (* reversed arrival order; input fluents are rare *)
-  mutable scr_touched : bool;
 }
 
 type t = {
@@ -114,13 +105,13 @@ type t = {
       (* analysed once, at the first pass rather than by [create] so that
          start-up does not pay for it; shared by every bucket's session *)
   knowledge : Rtec.Knowledge.t;
-  mutable buckets : bucket list;  (* most recent first *)
+  mutable buckets : bucket list;  (* the live buckets, newest (highest id) first *)
   mutable next_id : int;
-  by_entity : bucket TermTbl.t;
-  keys : unit TermTbl.t;
-  mentions : (int, bucket) Hashtbl.t TermTbl.t;
+  by_entity : bucket TermTbl.t;  (* every live entity key, to its bucket *)
+  mentions : Rtec.Term.t list TermTbl.t;
+      (* a non-key subterm, to one entity key of each live bucket whose
+         items mentioned it *)
   mutable collapsed : bool;
-  mutable single : bucket option;  (* the one bucket of collapsed mode *)
   mutable ev_lo : int option;
   mutable ev_hi : int option;  (* event extent of accepted input *)
   mutable lo : int option;  (* grid origin, frozen at the first query *)
@@ -136,7 +127,6 @@ type t = {
   mutable n_late : int;
   mutable n_dropped : int;
   mutable n_revisions : int;
-  mutable n_active : int;
   mutable n_evicted : int;
   mutable last_jobs : int;
 }
@@ -145,16 +135,6 @@ type t = {
    stream start, but they belong to no entity component: each shard
    would re-derive them against a different event subset. Such event
    descriptions are evaluated single-bucket. *)
-let has_ground_initially event_description =
-  List.exists
-    (fun (r : Rtec.Ast.rule) ->
-      r.body = []
-      &&
-      match r.head with
-      | Rtec.Term.Compound ("initially", [ fv ]) -> Rtec.Term.is_ground fv
-      | _ -> false)
-    (Rtec.Ast.all_rules event_description)
-
 let create ~config ~event_description ~knowledge () =
   {
     cfg = config;
@@ -163,10 +143,8 @@ let create ~config ~event_description ~knowledge () =
     buckets = [];
     next_id = 0;
     by_entity = TermTbl.create 64;
-    keys = TermTbl.create 64;
     mentions = TermTbl.create 256;
-    collapsed = has_ground_initially event_description;
-    single = None;
+    collapsed = Rtec.Engine.initial_fvps event_description <> [];
     ev_lo = None;
     ev_hi = None;
     lo = None;
@@ -180,7 +158,6 @@ let create ~config ~event_description ~knowledge () =
     n_late = 0;
     n_dropped = 0;
     n_revisions = 0;
-    n_active = 0;
     n_evicted = 0;
     last_jobs = 1;
   }
@@ -188,14 +165,6 @@ let create ~config ~event_description ~knowledge () =
 let watermark t = t.ev_hi
 
 (* --- buckets --- *)
-
-let rec resolve_bucket b =
-  match b.merged_into with
-  | None -> b
-  | Some b' ->
-    let r = resolve_bucket b' in
-    if r != b' then b.merged_into <- Some r;
-    r
 
 let new_bucket svc =
   let b =
@@ -207,14 +176,9 @@ let new_bucket svc =
       pending = [];
       floor = None;
       entities = [];
+      mentioned = [];
       last_seen = min_int;
       revise_from = None;
-      alive = true;
-      merged_into = None;
-      scr_events = [||];
-      scr_n = 0;
-      scr_fluents = [];
-      scr_touched = false;
     }
   in
   svc.next_id <- svc.next_id + 1;
@@ -236,8 +200,12 @@ let merge_pending pa pb =
   in
   go pa pb []
 
+(* The list without [b], sharing the tail after it. *)
+let rec without b = function [] -> [] | x :: rest -> if x == b then rest else x :: without b rest
+
+(* The lower id survives and takes over the other bucket's state, its
+   entities and its mentions; the other bucket is gone. *)
 let merge_buckets svc a b =
-  let a = resolve_bucket a and b = resolve_bucket b in
   if a == b then a
   else begin
     let a, b = if a.id <= b.id then (a, b) else (b, a) in
@@ -258,33 +226,23 @@ let merge_buckets svc a b =
          else b.floor));
     a.entities <- b.entities @ a.entities;
     List.iter (fun e -> TermTbl.replace svc.by_entity e a) b.entities;
+    a.mentioned <- List.rev_append b.mentioned a.mentioned;
     a.last_seen <- max a.last_seen b.last_seen;
     (a.revise_from <-
        (match (a.revise_from, b.revise_from) with
        | None, x | x, None -> x
        | Some x, Some y -> Some (min x y)));
-    b.alive <- false;
-    b.merged_into <- Some a;
+    svc.buckets <- without b svc.buckets;
     a
   end
 
-let alive_buckets svc =
-  List.sort
-    (fun a b -> Int.compare a.id b.id)
-    (List.filter (fun b -> b.alive) svc.buckets)
-
+(* Folded newest first: each merge absorbs the list's head, so removing
+   it from the list costs nothing. *)
 let collapse svc =
   svc.collapsed <- true;
-  match svc.single with
-  | Some b when b.alive -> b
-  | _ ->
-    let b =
-      match alive_buckets svc with
-      | [] -> new_bucket svc
-      | b :: rest -> List.fold_left (merge_buckets svc) b rest
-    in
-    svc.single <- Some b;
-    b
+  match svc.buckets with
+  | [] -> new_bucket svc
+  | b :: rest -> List.fold_left (merge_buckets svc) b rest
 
 (* --- dynamic entity routing ---
 
@@ -309,106 +267,80 @@ let iter_subterms f term =
   in
   walk term
 
-let note_entity svc b e =
-  match TermTbl.find_opt svc.by_entity e with
-  | Some owner when (resolve_bucket owner).alive -> ()  (* owner was merged into b *)
-  | _ ->
-    TermTbl.replace svc.by_entity e b;
-    b.entities <- e :: b.entities;
-    svc.n_active <- svc.n_active + 1
+let add_entity svc b k =
+  TermTbl.replace svc.by_entity k b;
+  b.entities <- k :: b.entities
 
-let route svc item =
-  if svc.collapsed then collapse svc
-  else begin
-    let term =
-      match item with
-      | Rtec.Stream.Event e -> e.term
-      | Rtec.Stream.Fluent ((f, v), _) -> Rtec.Term.app "=" [ f; v ]
-    in
-    let lead =
-      match item with
-      | Rtec.Stream.Event e -> first_argument e.term
-      | Rtec.Stream.Fluent ((f, _), _) -> first_argument f
-    in
-    (* A first appearance as a leading argument turns a term into an
-       entity key; buckets whose items merely mentioned it become
-       connected to it retroactively. *)
-    let mention_targets =
-      match lead with
-      | Some k when not (TermTbl.mem svc.keys k) ->
-        TermTbl.replace svc.keys k ();
-        (match TermTbl.find_opt svc.mentions k with
-        | None -> []
-        | Some tbl ->
-          Hashtbl.fold
-            (fun _ b acc ->
-              let b = resolve_bucket b in
-              if b.alive then b :: acc else acc)
-            tbl [])
-      | _ -> []
-    in
-    let item_entities = ref [] and entity_targets = ref [] in
-    iter_subterms
-      (fun st ->
-        if TermTbl.mem svc.keys st then begin
-          item_entities := st :: !item_entities;
-          match TermTbl.find_opt svc.by_entity st with
-          | Some b ->
-            let b = resolve_bucket b in
-            if b.alive then entity_targets := b :: !entity_targets
-          | None -> ()
-        end)
-      term;
-    if !item_entities = [] then collapse svc
-    else begin
-      let b =
-        match mention_targets @ !entity_targets with
-        | [] -> new_bucket svc
-        | b :: rest -> List.fold_left (merge_buckets svc) b rest
-      in
-      List.iter (note_entity svc b) !item_entities;
-      iter_subterms
-        (fun st ->
-          if not (TermTbl.mem svc.keys st) then begin
-            let tbl =
-              match TermTbl.find_opt svc.mentions st with
-              | Some tbl -> tbl
-              | None ->
-                let tbl = Hashtbl.create 4 in
-                TermTbl.replace svc.mentions st tbl;
-                tbl
-            in
-            Hashtbl.replace tbl b.id b
-          end)
-        term;
-      b
-    end
+(* Record that [b], which holds entity key [k], mentions the non-key
+   [st], unless a key of [b] is there already. *)
+let add_mention svc b k st =
+  let keys = Option.value ~default:[] (TermTbl.find_opt svc.mentions st) in
+  let held k' = match TermTbl.find_opt svc.by_entity k' with Some x -> x == b | None -> false in
+  if not (List.exists held keys) then begin
+    TermTbl.replace svc.mentions st (k :: keys);
+    b.mentioned <- st :: b.mentioned
   end
 
-(* --- ingestion --- *)
-
-let push_scratch touched b item =
-  if not b.scr_touched then begin
-    b.scr_touched <- true;
-    touched := b :: !touched
+let route svc item =
+  let term =
+    match item with
+    | Rtec.Stream.Event e -> e.term
+    | Rtec.Stream.Fluent ((f, v), _) -> Rtec.Term.app "=" [ f; v ]
+  in
+  let lead =
+    match item with
+    | Rtec.Stream.Event e -> first_argument e.term
+    | Rtec.Stream.Fluent ((f, _), _) -> first_argument f
+  in
+  (* A leading argument that is not a live key becomes one. *)
+  let fresh = match lead with Some k when not (TermTbl.mem svc.by_entity k) -> lead | _ -> None in
+  let b =
+    if svc.collapsed then collapse svc
+    else begin
+      (* Buckets whose items merely mentioned a fresh key become
+         connected to it retroactively. *)
+      let mention_targets =
+        match fresh with
+        | None -> []
+        | Some k -> (
+          match TermTbl.find_opt svc.mentions k with
+          | None -> []
+          | Some keys ->
+            TermTbl.remove svc.mentions k;
+            List.filter_map (TermTbl.find_opt svc.by_entity) keys)
+      in
+      let entity_targets = ref [] in
+      iter_subterms
+        (fun st ->
+          match TermTbl.find_opt svc.by_entity st with
+          | Some b -> entity_targets := b :: !entity_targets
+          | None -> ())
+        term;
+      if fresh = None && !entity_targets = [] then collapse svc
+      else
+        (* Each bucket once: a bucket merged away must not be merged
+           again. *)
+        match
+          List.sort_uniq (fun a b -> Int.compare a.id b.id) (mention_targets @ !entity_targets)
+        with
+        | [] -> new_bucket svc
+        | b :: rest -> List.fold_left (merge_buckets svc) b rest
+    end
+  in
+  Option.iter (add_entity svc b) fresh;
+  if not svc.collapsed then begin
+    let k = List.hd b.entities in
+    iter_subterms (fun st -> if not (TermTbl.mem svc.by_entity st) then add_mention svc b k st) term
   end;
-  match item with
-  | Rtec.Stream.Event e ->
-    if b.scr_n = Array.length b.scr_events then begin
-      let grown = Array.make (max 16 (2 * b.scr_n)) e in
-      Array.blit b.scr_events 0 grown 0 b.scr_n;
-      b.scr_events <- grown
-    end;
-    b.scr_events.(b.scr_n) <- e;
-    b.scr_n <- b.scr_n + 1
-  | Rtec.Stream.Fluent (fv, spans) -> b.scr_fluents <- (fv, spans) :: b.scr_fluents
+  b
+
+(* --- ingestion --- *)
 
 let ingest_batch svc items =
   (* Validated whole before any item is routed: routing mutates keys,
      buckets, the event extent and the late counters, so a batch
      rejected halfway would leave the service corrupted. *)
   Rtec.Stream.check_items ~ctx:"Service.ingest" items;
-  let touched = ref [] in
   List.iter
     (fun item ->
       let t = Rtec.Stream.item_time item in
@@ -437,60 +369,18 @@ let ingest_batch svc items =
           svc.ev_hi <- Some (match svc.ev_hi with None -> e.time | Some x -> max x e.time)
         | Rtec.Stream.Fluent _ -> ());
         let b = route svc item in
-        push_scratch touched b item;
+        (b.stream <-
+           match item with
+           | Rtec.Stream.Event e -> Rtec.Stream.append_items b.stream [| e |]
+           | Rtec.Stream.Fluent (fv, spans) ->
+             Rtec.Stream.append_items b.stream ~input_fluents:[ (fv, spans) ] [||]);
+        svc.n_appends <- svc.n_appends + 1;
         if t <> max_int then b.last_seen <- max b.last_seen t;
         if late then
           b.revise_from <-
             Some (match b.revise_from with None -> t | Some x -> min x t)
       end)
-    items;
-  (* One stream append per touched bucket, in first-touch order; buckets
-     that merged while the batch was being routed flush into the
-     surviving bucket, their scratches concatenated in first-touch
-     order. *)
-  let grouped = Hashtbl.create 8 and order = ref [] in
-  List.iter
-    (fun b ->
-      let r = resolve_bucket b in
-      match Hashtbl.find_opt grouped r.id with
-      | Some parts -> parts := b :: !parts
-      | None ->
-        let parts = ref [ b ] in
-        Hashtbl.replace grouped r.id parts;
-        order := (r, parts) :: !order)
-    (List.rev !touched);
-  List.iter
-    (fun (r, parts) ->
-      let parts = List.rev !parts in
-      let tail =
-        match parts with
-        | [ b ] -> Array.sub b.scr_events 0 b.scr_n
-        | _ -> (
-          match List.find_opt (fun b -> b.scr_n > 0) parts with
-          | None -> [||]
-          | Some b0 ->
-            let total = List.fold_left (fun acc b -> acc + b.scr_n) 0 parts in
-            let out = Array.make total b0.scr_events.(0) in
-            let off = ref 0 in
-            List.iter
-              (fun b ->
-                Array.blit b.scr_events 0 out !off b.scr_n;
-                off := !off + b.scr_n)
-              parts;
-            out)
-      in
-      let input_fluents =
-        List.concat_map (fun b -> List.rev b.scr_fluents) parts
-      in
-      List.iter
-        (fun b ->
-          b.scr_n <- 0;
-          b.scr_fluents <- [];
-          b.scr_touched <- false)
-        parts;
-      r.stream <- Rtec.Stream.append_items r.stream ~input_fluents tail;
-      svc.n_appends <- svc.n_appends + 1)
-    (List.rev !order)
+    items
 
 let ingest svc items =
   let late0 = svc.n_late and dropped0 = svc.n_dropped in
@@ -610,9 +500,19 @@ let retire svc b =
     let st : Rtec.Window.stats = Session.stats s in
     svc.retired_queries <- svc.retired_queries + st.queries;
     svc.retired_events <- svc.retired_events + st.events_processed);
-  b.alive <- false;
+  (* Its entities are forgotten, and so are the mentions that only its
+     keys held. *)
+  List.iter (TermTbl.remove svc.by_entity) b.entities;
+  List.iter
+    (fun st ->
+      match TermTbl.find_opt svc.mentions st with
+      | None -> ()
+      | Some keys -> (
+        match List.filter (TermTbl.mem svc.by_entity) keys with
+        | [] -> TermTbl.remove svc.mentions st
+        | keys -> TermTbl.replace svc.mentions st keys))
+    b.mentioned;
   let n = List.length b.entities in
-  svc.n_active <- svc.n_active - n;
   svc.n_evicted <- svc.n_evicted + n;
   Telemetry.Flight.record Evict ~a:b.id ~b:n ~c:b.last_seen ()
 
@@ -625,39 +525,41 @@ let finalise_and_evict svc ~w ~now =
     svc.processed <- List.filter (fun q -> q > boundary) svc.processed;
     List.iter
       (fun b ->
-        if b.alive then begin
-          let rec go kept = function
-            | ((q, _) as e) :: rest when q > boundary -> go (e :: kept) rest
-            | (q, cp) :: _ ->
-              b.floor <- Some (q, cp);
-              b.pending <- List.rev kept
-            | [] -> b.pending <- List.rev kept
-          in
-          go [] b.pending;
-          (* Trim finalised history once at least a window's worth is
-             droppable. The session refreshes its compiled program onto
-             the retained suffix, and compiles afresh only once the
-             program's intern table has doubled since its last compile,
-             which keeps the table bounded by the retained stream. *)
-          match b.floor with
-          | Some (fq, _) when Rtec.Stream.size b.stream > 0 ->
-            let keep_from = fq - w + 2 in
-            if fst (Rtec.Stream.extent b.stream) < keep_from - w then begin
-              b.stream <- Rtec.Stream.drop_before b.stream keep_from;
-              Option.iter (fun s -> Session.set_stream ~trimmed:true s b.stream) b.session
-            end
-          | _ -> ()
-        end)
+        let rec go kept = function
+          | ((q, _) as e) :: rest when q > boundary -> go (e :: kept) rest
+          | (q, cp) :: _ ->
+            b.floor <- Some (q, cp);
+            b.pending <- List.rev kept
+          | [] -> b.pending <- List.rev kept
+        in
+        go [] b.pending;
+        (* Trim finalised history once at least a window's worth is
+           droppable. The session refreshes its compiled program onto
+           the retained suffix, and compiles afresh only once the
+           program's intern table has doubled since its last compile,
+           which keeps the table bounded by the retained stream. *)
+        match b.floor with
+        | Some (fq, _) when Rtec.Stream.size b.stream > 0 ->
+          let keep_from = fq - w + 2 in
+          if fst (Rtec.Stream.extent b.stream) < keep_from - w then begin
+            b.stream <- Rtec.Stream.drop_before b.stream keep_from;
+            Option.iter (fun s -> Session.set_stream ~trimmed:true s b.stream) b.session
+          end
+        | _ -> ())
       svc.buckets
   | _ -> ());
   (match (svc.cfg.ttl, now) with
   | Some ttl, Some now when not svc.collapsed ->
     let ttl_eff = max ttl w in
-    List.iter
-      (fun b -> if b.alive && b.session <> None && now - b.last_seen > ttl_eff then retire svc b)
-      svc.buckets
+    svc.buckets <-
+      List.filter
+        (fun b ->
+          let idle = b.session <> None && now - b.last_seen > ttl_eff in
+          if idle then retire svc b;
+          not idle)
+        svc.buckets
   | _ -> ());
-  Telemetry.Metrics.set g_active (float_of_int svc.n_active);
+  Telemetry.Metrics.set g_active (float_of_int (TermTbl.length svc.by_entity));
   Telemetry.Metrics.set g_evicted (float_of_int svc.n_evicted)
 
 (* The per-tick result is captured in O(1) — the retired map and each
@@ -670,7 +572,7 @@ let capture_intervals svc =
     List.filter_map
       (fun b ->
         match b.session with
-        | Some s when b.alive -> Some (Session.result_seq s)
+        | Some s -> Some (Session.result_seq s)
         | _ -> None)
       svc.buckets
   in
@@ -696,7 +598,7 @@ let stats svc =
     List.fold_left
       (fun (q, e) b ->
         match b.session with
-        | Some s when b.alive ->
+        | Some s ->
           let st : Rtec.Window.stats = Session.stats s in
           (q + st.queries, e + st.events_processed)
         | _ -> (q, e))
@@ -706,13 +608,13 @@ let stats svc =
   {
     queries;
     events_processed = events;
-    buckets = List.length (alive_buckets svc);
+    buckets = List.length svc.buckets;
     jobs = svc.last_jobs;
     appends = svc.n_appends;
     late_events = svc.n_late;
     dropped_late = svc.n_dropped;
     revisions = svc.n_revisions;
-    entities_active = svc.n_active;
+    entities_active = TermTbl.length svc.by_entity;
     entities_evicted = svc.n_evicted;
   }
 
@@ -727,7 +629,7 @@ let process_pass_inner svc ~w ~s ~now qs =
       (fun b ->
         let worklist = plan_revision svc b @ qs in
         if worklist = [] then None else Some (b, worklist))
-      (alive_buckets svc)
+      (List.rev svc.buckets)
   in
   let work = Array.of_list work in
   let n = Array.length work in
@@ -837,8 +739,7 @@ let seed_single svc stream =
     svc.ev_hi <- Some hi;
     b.last_seen <- hi
   end;
-  svc.collapsed <- true;
-  svc.single <- Some b
+  svc.collapsed <- true
 
 (* Greedy longest-processing-time grouping: components largest first by
    event count (stable, so ties keep creation order), each merged onto
@@ -846,6 +747,14 @@ let seed_single svc stream =
    buckets than components keep the per-query engine overhead down. *)
 let group_buckets svc ~groups =
   let load = Array.make groups 0 and slot = Array.make groups None in
+  let components =
+    List.stable_sort
+      (fun a b -> Int.compare (Rtec.Stream.size b.stream) (Rtec.Stream.size a.stream))
+      (List.rev svc.buckets)
+  in
+  (* The groups replace the components as the live list, so no merge
+     has to search it. *)
+  svc.buckets <- [];
   List.iter
     (fun b ->
       let best = ref 0 in
@@ -855,9 +764,9 @@ let group_buckets svc ~groups =
       load.(!best) <- load.(!best) + Rtec.Stream.size b.stream;
       slot.(!best) <-
         Some (match slot.(!best) with None -> b | Some g -> merge_buckets svc g b))
-    (List.stable_sort
-       (fun a b -> Int.compare (Rtec.Stream.size b.stream) (Rtec.Stream.size a.stream))
-       (alive_buckets svc))
+    components;
+  svc.buckets <-
+    List.sort (fun a b -> Int.compare b.id a.id) (List.filter_map Fun.id (Array.to_list slot))
 
 let seed svc ~groups stream =
   let empty = Rtec.Stream.size stream = 0 && Rtec.Stream.input_fluents stream = [] in

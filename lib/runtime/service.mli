@@ -19,9 +19,11 @@
     first arguments are never keys). An item belongs to the component of
     every key occurring anywhere in it, so a pairwise fluent keeps both
     entities in one bucket while a shared attribute constant (an area)
-    glues nothing. An item with no entity key, or an event description
-    with ground [initially] facts (whose seeds belong to no entity),
-    collapses the service to a single bucket.
+    glues nothing. A term that an item mentions before it is a key
+    joins that item's bucket once it leads an item. An item with no
+    entity key, or an event description with ground [initially(F=V)]
+    facts (whose seeds belong to no entity), collapses the service to a
+    single bucket.
 
     Out-of-order items are repaired by bounded revision: each processed
     query checkpoints the owning bucket's state (O(1), persistent maps);
@@ -30,9 +32,12 @@
     overlapping queries over the merged stream. Later items are counted
     ([stream.late_events] / [stream.dropped_late]) and dropped. Idle
     entities can be evicted after a TTL: their recognised intervals are
-    frozen into the service result and their working state (stream
-    slice, checkpoints, compiled program) is released
-    ([service.entities.active/evicted] gauges). *)
+    frozen into the service result, and their bucket is dropped with
+    its working state (stream slice, checkpoints, compiled program),
+    its entity keys and its routing entries
+    ([service.entities.active/evicted] gauges). A bucket merged into
+    another is dropped the same way, so the service holds only its live
+    buckets. *)
 
 type config = {
   window : int option;
@@ -60,8 +65,11 @@ type config = {
       (** evict an entity shard once no item has arrived for it in
           [max ttl window] time-points ([None]: never). Eviction freezes
           the shard's recognised intervals: they stay in the service
-          result but are no longer extended or revised, and a returning
-          entity starts from fresh state. *)
+          result but are no longer extended or revised. Its entities
+          are forgotten: a returning entity is a new key with fresh
+          state, and an item that only mentions an evicted entity (not
+          as its leading argument) does not make it active again. Not
+          applied once the service has collapsed to one bucket. *)
 }
 
 val config :
@@ -84,12 +92,12 @@ type stats = {
   events_processed : int;
   buckets : int;  (** live entity shards *)
   jobs : int;  (** worker domains used by the latest pass *)
-  appends : int;  (** ingestion batches merged into bucket streams *)
+  appends : int;  (** accepted items, each appended to its bucket's stream *)
   late_events : int;  (** items that arrived at or before the last query *)
   dropped_late : int;  (** late items beyond the revision horizon, dropped *)
   revisions : int;  (** bucket rollback-and-replay passes *)
-  entities_active : int;
-  entities_evicted : int;
+  entities_active : int;  (** live entity keys: evicted entities are not counted *)
+  entities_evicted : int;  (** entity keys dropped by TTL eviction *)
 }
 
 type result = {
@@ -118,12 +126,12 @@ val ingest : t -> Rtec.Stream.item list -> unit
     in time order: an item at or before the last processed query is late
     — within the revision horizon it schedules its entity shard for
     rollback-and-replay at the next {!tick}; beyond it (or before the
-    frozen grid origin) it is counted and dropped. Routed items land in
-    per-bucket reusable scratch arrays and each touched bucket flushes
-    with one O(batch) {!Rtec.Stream.append_items} (index rebuilds are
-    deferred to the next tick's first query). Raises [Invalid_argument]
-    on a non-ground item, before routing any item of the batch: a
-    rejected batch leaves the service exactly as it was. *)
+    frozen grid origin) it is counted and dropped. Each accepted item is
+    appended to its bucket's stream as soon as it is routed, with an
+    O(1) {!Rtec.Stream.append_items} (index rebuilds are deferred to the
+    next tick's first query). Raises [Invalid_argument] on a non-ground
+    item, before routing any item of the batch: a rejected batch leaves
+    the service exactly as it was. *)
 
 val tick : t -> now:int -> (result, string) Result.t
 (** Advance the query grid through every query time at or before [now]
@@ -149,7 +157,7 @@ val seed : t -> groups:int -> Rtec.Stream.t -> unit
     batch wrapper's entry ([Runtime.run] is [create], [seed], {!drain}).
 
     With [groups <= 1], an empty [s], or when the service is already
-    collapsed (ground [initially] facts), [s] becomes the one bucket as
+    collapsed (ground [initially(F=V)] facts), [s] becomes the one bucket as
     it is, without routing, and later {!ingest}s join that bucket too.
     Otherwise the stream's events, then its input fluents, go through
     {!ingest}, and the resulting component buckets are merged into at

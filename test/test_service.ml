@@ -8,7 +8,10 @@
    compiles once and keeps its program across trims until its intern
    table doubles; initially facts apply at the grid origin however the
    stream is trimmed; a batch rejected for a non-ground item leaves the
-   service untouched. *)
+   service untouched; a collapsed service still counts its entities, and
+   only a ground initially(F = V) fact collapses one; an item reaching a
+   bucket twice merges it once; a churning fleet leaves the service no
+   larger, and an evicted entity is forgotten until it leads again. *)
 
 open Rtec
 module Service = Runtime.Service
@@ -442,6 +445,191 @@ let test_initially_after_trim () =
     (expected = [ ("status(s1)", "on", [ (100, 101) ]) ]);
   Alcotest.(check bool) "served == batch" true (served = expected)
 
+(* --- entity counts and the bounded fleet --- *)
+
+(* Ingest [items] one at a time, ticking at every [step] boundary an
+   item's time passes, as serve's [--tick-every] does. *)
+let serve_items svc ~step items =
+  let next = ref step in
+  List.iter
+    (fun item ->
+      let t = Stream.item_time item in
+      while t > !next do
+        (match Service.tick svc ~now:!next with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "tick failed: %s" e);
+        next := !next + step
+      done;
+      Service.ingest svc [ item ])
+    items
+
+(* An item with no entity collapses the service to one bucket; the
+   vessels that come after it are still counted. *)
+let test_collapse_counts_entities () =
+  let svc =
+    Service.create
+      ~config:(Service.config ~window:10 ~step:10 ())
+      ~event_description:small_ed ~knowledge:Knowledge.empty ()
+  in
+  let vessels = List.init 6 (fun i -> Printf.sprintf "v%d" i) in
+  let items =
+    List.mapi (fun i v -> Stream.Event (event "start" v (i + 1))) vessels
+    |> List.mapi (fun i item ->
+           if i = 2 then [ Stream.Event { Stream.time = 3; term = Term.Atom "ping" }; item ]
+           else [ item ])
+    |> List.concat
+  in
+  serve_items svc ~step:10 items;
+  let s = Service.stats svc in
+  Alcotest.(check int) "collapsed to one bucket" 1 s.buckets;
+  Alcotest.(check int) "every vessel counted" (List.length vessels) s.entities_active
+
+(* Only a ground [initially(F = V)] fact seeds a fluent, so only such a
+   fact makes the description single-bucket; [initially(foo).] is
+   ignored by the engine and keeps one bucket per entity. *)
+let test_initially_collapses () =
+  let buckets source =
+    let svc =
+      Service.create
+        ~config:(Service.config ~window:10 ~step:10 ())
+        ~event_description:[ Parser.parse_definition ~name:"i" source ]
+        ~knowledge:Knowledge.empty ()
+    in
+    Service.ingest svc
+      (List.map (fun e -> Stream.Event e) [ event "start" "v1" 1; event "start" "v2" 2 ]);
+    (Service.stats svc).buckets
+  in
+  let rules =
+    "initiatedAt(active(V) = true, T) :- happensAt(start(V), T).\n\
+     terminatedAt(active(V) = true, T) :- happensAt(stop(V), T).\n"
+  in
+  Alcotest.(check int) "initially(foo): one bucket per entity" 2
+    (buckets ("initially(foo).\n" ^ rules));
+  Alcotest.(check int) "initially(status(s1) = on): one bucket" 1
+    (buckets ("initially(status(s1) = on).\n" ^ rules))
+
+(* An item whose keys reach one bucket twice and another once: each
+   bucket is merged once, so every event is evaluated once. *)
+let test_merge_each_bucket_once () =
+  let svc =
+    Service.create
+      ~config:(Service.config ~window:100 ~step:100 ())
+      ~event_description:small_ed ~knowledge:Knowledge.empty ()
+  in
+  let atoms = List.map (fun v -> Term.Atom v) in
+  let events =
+    [
+      event "start" "v2" 1;
+      event "start" "v1" 2;
+      event "start" "v3" 3;
+      { Stream.time = 4; term = Term.app "link" (atoms [ "v1"; "v3" ]) };
+      { Stream.time = 5; term = Term.app "link" (atoms [ "v1"; "v2"; "v3" ]) };
+    ]
+  in
+  Service.ingest svc (List.map (fun e -> Stream.Event e) events);
+  match Service.drain svc with
+  | Error e -> Alcotest.failf "drain failed: %s" e
+  | Ok (r : Service.result) ->
+    Alcotest.(check int) "one bucket" 1 r.stats.buckets;
+    Alcotest.(check int) "every event evaluated once" (List.length events)
+      r.stats.events_processed;
+    Alcotest.(check int) "three entities" 3 r.stats.entities_active
+
+(* A churning fleet: entity [i] starts at [36 i] and sends four
+   [stop_end] events a quarter hour apart, so about a hundred are live at
+   once and no interval is ever derived. Served at window 3600, step
+   1800, horizon 1800 and ttl 3600, ticked at every step and drained;
+   the service's reachable words and its stats at the drain. *)
+let churn n =
+  let svc =
+    Service.create
+      ~config:(Service.config ~window:3600 ~step:1800 ~horizon:1800 ~ttl:3600 ())
+      ~event_description:stop_ed ~knowledge:Knowledge.empty ()
+  in
+  let events =
+    List.init n (fun i ->
+        List.init 4 (fun k ->
+            let t = (36 * i) + (900 * k) + 7 in
+            { Stream.time = t; term = Term.app "stop_end" [ Term.Atom (Printf.sprintf "c%d" i) ] }))
+    |> List.concat
+    |> List.stable_sort (fun (a : Stream.event) b -> Int.compare a.time b.time)
+  in
+  serve_items svc ~step:1800 (List.map (fun e -> Stream.Event e) events);
+  match Service.drain svc with
+  | Error e -> Alcotest.failf "drain failed: %s" e
+  | Ok (r : Service.result) ->
+    Alcotest.(check bool) "no interval derived" true (Lazy.force r.intervals = []);
+    (Obj.reachable_words (Obj.repr svc), r.stats)
+
+(* Retired buckets, their entities and their mentions are gone: four
+   times the fleet leaves the service no larger. The live set is the
+   same at both sizes, so the counts are exact. *)
+let test_churn_bounded () =
+  let words200, s200 = churn 200 in
+  let words800, s800 = churn 800 in
+  let counts (s : Service.stats) = (s.buckets, s.entities_active, s.entities_evicted) in
+  let triple = Alcotest.(triple int int int) in
+  Alcotest.check triple "N = 200: buckets, active, evicted" (101, 101, 99) (counts s200);
+  Alcotest.check triple "N = 800: buckets, active, evicted" (101, 101, 699) (counts s800);
+  if words800 > words200 + (words200 / 100) then
+    Alcotest.failf "reachable words grew with the fleet: %d at N = 200, %d at N = 800" words200
+      words800
+
+(* An evicted entity is forgotten: an item that only mentions it does
+   not make it active again. When it leads an item again, the earlier
+   mention joins it to the mentioning entity's bucket, and the result is
+   the batch run's over the same items. *)
+let test_evicted_entity_forgotten () =
+  let svc =
+    Service.create
+      ~config:(Service.config ~window:10 ~step:10 ~ttl:15 ())
+      ~event_description:small_ed ~knowledge:Knowledge.empty ()
+  in
+  let near =
+    Stream.Fluent
+      ( (Term.app "near" [ Term.Atom "v2"; Term.Atom "v1" ], Term.Atom "true"),
+        Interval.of_list [ (25, 30) ] )
+  in
+  let before =
+    Stream.Event (event "start" "v1" 1)
+    :: Stream.Event (event "stop" "v1" 5)
+    :: List.init 3 (fun i -> Stream.Event (event "start" "v2" ((10 * i) + 1)))
+  in
+  let before =
+    List.stable_sort (fun a b -> Int.compare (Stream.item_time a) (Stream.item_time b)) before
+  in
+  let after = [ Stream.Event (event "start" "v2" 31); Stream.Event (event "start" "v1" 33) ] in
+  serve_items svc ~step:10 before;
+  (match Service.tick svc ~now:25 with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "tick failed: %s" e);
+  let s = Service.stats svc in
+  Alcotest.(check (pair int int))
+    "v1 evicted, v2 active" (1, 1) (s.entities_evicted, s.entities_active);
+  Service.ingest svc [ near ];
+  let s = Service.stats svc in
+  Alcotest.(check int) "a mention does not count v1 as active" 1 s.entities_active;
+  List.iter (fun item -> Service.ingest svc [ item ]) after;
+  match Service.drain svc with
+  | Error e -> Alcotest.failf "drain failed: %s" e
+  | Ok (r : Service.result) ->
+    let s = r.stats in
+    Alcotest.(check int) "v1 shares v2's bucket" 1 s.buckets;
+    Alcotest.(check (pair int int))
+      "active, evicted" (2, 1) (s.entities_active, s.entities_evicted);
+    let expected =
+      match
+        Runtime.run
+          ~config:(Runtime.config ~window:10 ~step:10 ())
+          ~event_description:small_ed ~knowledge:Knowledge.empty
+          ~stream:(Stream.of_items (before @ (near :: after)))
+          ()
+      with
+      | Ok (result, _) -> exact result
+      | Error e -> Alcotest.failf "batch recognition failed: %s" e
+    in
+    Alcotest.(check bool) "served == batch" true (exact (Lazy.force r.intervals) = expected)
+
 let suite =
   [
     Alcotest.test_case "out-of-order replay == batch (maritime)" `Quick
@@ -464,4 +652,14 @@ let suite =
       test_initially_after_trim;
     Alcotest.test_case "a rejected batch leaves no trace" `Quick
       test_rejected_batch_leaves_no_trace;
+    Alcotest.test_case "a collapsed service still counts its entities" `Quick
+      test_collapse_counts_entities;
+    Alcotest.test_case "only a ground initially(F = V) collapses" `Quick
+      test_initially_collapses;
+    Alcotest.test_case "a bucket reached twice by one item merges once" `Quick
+      test_merge_each_bucket_once;
+    Alcotest.test_case "a churning fleet keeps only its live buckets" `Quick
+      test_churn_bounded;
+    Alcotest.test_case "an evicted entity is forgotten until it leads again" `Quick
+      test_evicted_entity_forgotten;
   ]
