@@ -2,98 +2,21 @@ let m_calls = Telemetry.Metrics.counter "kuhn_munkres.calls"
 let m_iterations = Telemetry.Metrics.counter "kuhn_munkres.iterations"
 let h_n = Telemetry.Metrics.histogram "kuhn_munkres.n"
 
-(* Jonker-style O(n^3) implementation of the Hungarian algorithm using
-   potentials and shortest augmenting paths. [u]/[v] are the row/column
-   potentials; [way] records the alternating path for augmentation. Rows
-   and columns are 1-based internally, with index 0 as a sentinel. *)
-let solve cost =
-  let n = Array.length cost in
-  Array.iter
-    (fun row ->
-      if Array.length row <> n then invalid_arg "Kuhn_munkres.solve: matrix is not square")
-    cost;
-  if n = 0 then ([||], 0.)
-  else begin
-    Telemetry.Metrics.incr m_calls;
-    Telemetry.Metrics.observe h_n (float_of_int n);
-    (* Iterations are tallied locally and recorded once per solve: a
-       registry call inside the augmenting-path loop would cost several
-       percent even when telemetry is disabled. *)
-    let iterations = ref 0 in
-    let u = Array.make (n + 1) 0. in
-    let v = Array.make (n + 1) 0. in
-    let p = Array.make (n + 1) 0 in
-    (* p.(j) = row assigned to column j *)
-    let way = Array.make (n + 1) 0 in
-    for i = 1 to n do
-      p.(0) <- i;
-      let j0 = ref 0 in
-      let minv = Array.make (n + 1) infinity in
-      let used = Array.make (n + 1) false in
-      let continue = ref true in
-      while !continue do
-        incr iterations;
-        used.(!j0) <- true;
-        let i0 = p.(!j0) in
-        let delta = ref infinity in
-        let j1 = ref 0 in
-        for j = 1 to n do
-          if not used.(j) then begin
-            let cur = cost.(i0 - 1).(j - 1) -. u.(i0) -. v.(j) in
-            if cur < minv.(j) then begin
-              minv.(j) <- cur;
-              way.(j) <- !j0
-            end;
-            if minv.(j) < !delta then begin
-              delta := minv.(j);
-              j1 := j
-            end
-          end
-        done;
-        for j = 0 to n do
-          if used.(j) then begin
-            u.(p.(j)) <- u.(p.(j)) +. !delta;
-            v.(j) <- v.(j) -. !delta
-          end
-          else minv.(j) <- minv.(j) -. !delta
-        done;
-        j0 := !j1;
-        if p.(!j0) = 0 then continue := false
-      done;
-      (* Augment along the alternating path. *)
-      let rec augment j =
-        let j1 = way.(j) in
-        p.(j) <- p.(j1);
-        if j1 <> 0 then augment j1
-      in
-      augment !j0
-    done;
-    Telemetry.Metrics.incr m_iterations ~by:!iterations;
-    let assignment = Array.make n 0 in
-    for j = 1 to n do
-      if p.(j) > 0 then assignment.(p.(j) - 1) <- j - 1
-    done;
-    let total = ref 0. in
-    for i = 0 to n - 1 do
-      total := !total +. cost.(i).(assignment.(i))
-    done;
-    (assignment, !total)
-  end
-
 (* Native rectangular solver. The similarity metric only ever needs the k
    columns of an [m x k] matrix (k <= m) matched to k distinct rows: the
    [m - k] unmatched rows contribute a fixed penalty handled by the
    caller, so padding the matrix to [m x m] (as this function did until
    PR 4) solves an O(m^3) problem whose extra columns are all-zero noise.
-   Instead, columns here play the role rows play in [solve]: each of the
-   k columns is assigned in turn via a shortest augmenting path over the
-   m rows, reusing the column/row potentials [u]/[v] across
-   augmentations. One augmentation visits at most k+1 rows of the
-   alternating tree and scans the m rows each visit, so the whole solve
-   is O(m * k^2) — on the paper's cost matrices (median k of 1-3 against
-   m up to ~80) this removes almost all of the padded solver's work. The
-   optimum is the same: zero-cost padding columns never change the
-   minimum over real columns. *)
+   Instead, columns here play the role rows play in the square
+   Hungarian algorithm (the tests' oracle): each of the k columns is
+   assigned in turn via a shortest augmenting path over the m rows,
+   reusing the column/row potentials [u]/[v] across augmentations. One
+   augmentation visits at most k+1 rows of the alternating tree and
+   scans the m rows each visit, so the whole solve is O(m * k^2) — on
+   the paper's cost matrices (median k of 1-3 against m up to ~80) this
+   removes almost all of the padded solver's work. The optimum is the
+   same: zero-cost padding columns never change the minimum over real
+   columns. *)
 let solve_rectangular cost =
   let m = Array.length cost in
   if m = 0 then ([], 0.)

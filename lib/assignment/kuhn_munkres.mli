@@ -3,12 +3,6 @@
     4.12 and 4.14 of the paper to find the minimum-cost mapping between
     sets of expressions, body conditions and rules. *)
 
-val solve : float array array -> int array * float
-(** [solve cost] takes a square [n x n] cost matrix and returns
-    [(assignment, total)] where [assignment.(row) = column] describes a
-    perfect matching of minimum total cost. Raises [Invalid_argument] on a
-    non-square matrix. The empty matrix yields [([||], 0.)]. *)
-
 val solve_rectangular : float array array -> (int * int) list * float
 (** Native rectangular solver for an [m x k] matrix with [m >= k]:
     assigns every column to a distinct row via shortest augmenting paths
@@ -16,6 +10,6 @@ val solve_rectangular : float array array -> (int * int) list * float
     the optimal pairs [(row, column)] sorted by row, plus the minimum
     total cost over the k columns. Unmatched rows are the caller's
     business (the cost matrix of Definition 4.3 penalises each by 1).
-    The result is the same as padding the matrix with zero-cost
-    "unmatched" columns and calling {!solve}, which the differential
-    tests use as the oracle. *)
+    The result is the same as padding the matrix to a square one with
+    zero-cost "unmatched" columns and solving that, which the
+    differential tests use as the oracle. *)

@@ -73,24 +73,13 @@ module Codec = struct
   let m_fast = Telemetry.Metrics.counter "io.codec.fast"
   let m_fallback = Telemetry.Metrics.counter "io.codec.fallback"
 
-  (* Atom memo: one shared [Term.Atom] per name, so repeated vocabulary
-     (functors appear as [Compound] heads, but entity ids, values and
-     [inf] recur as atoms) costs a hash lookup instead of an allocation.
-     A codec value is confined to one reader thread; the service gives
-     each connection its own. (The program-level [Intern] table is not
-     available here: interning to dense ids needs a compiled program,
-     which does not exist yet at ingest time.) *)
-  type t = { atoms : (string, Term.t) Hashtbl.t }
+  (* A codec carries no state: the scan allocates each atom afresh, so
+     a long-lived connection retains nothing of what it has decoded. A
+     per-connection atom memo would grow with every distinct name the
+     connection sends, and sharing atoms saves no measurable time. *)
+  type t = unit
 
-  let create () = { atoms = Hashtbl.create 256 }
-
-  let atom t name =
-    match Hashtbl.find_opt t.atoms name with
-    | Some a -> a
-    | None ->
-      let a = Term.Atom name in
-      Hashtbl.replace t.atoms name a;
-      a
+  let create () = ()
 
   exception Fallback
 
@@ -170,7 +159,7 @@ module Codec = struct
      checks the following delimiter, which is what keeps the subset
      honest — an operator after a primary (arithmetic, comparisons)
      means the parser would have kept going, so the scan bails there. *)
-  let rec scan_term t c =
+  let rec scan_term c =
     skip_ws c;
     if c.pos >= c.len then raise Fallback;
     let ch = c.src.[c.pos] in
@@ -178,9 +167,9 @@ module Codec = struct
       let name = scan_ident c in
       if c.pos < c.len && c.src.[c.pos] = '(' then begin
         c.pos <- c.pos + 1;
-        Term.Compound (name, scan_args t c)
+        Term.Compound (name, scan_args c)
       end
-      else atom t name
+      else Term.Atom name
     end
     else if is_digit ch then scan_number c
     else if ch = '-' && c.pos + 1 < c.len && is_digit c.src.[c.pos + 1] then
@@ -192,15 +181,15 @@ module Codec = struct
         c.pos <- c.pos + 1;
         Term.list_ []
       end
-      else Term.list_ (scan_elems t c ~stop:']')
+      else Term.list_ (scan_elems c ~stop:']')
     end
     else raise Fallback
 
-  and scan_args t c = scan_elems t c ~stop:')'
+  and scan_args c = scan_elems c ~stop:')'
 
-  and scan_elems t c ~stop =
+  and scan_elems c ~stop =
     let rec loop acc =
-      let e = scan_term t c in
+      let e = scan_term c in
       skip_ws c;
       if c.pos >= c.len then raise Fallback
       else if c.src.[c.pos] = ',' then begin
@@ -261,13 +250,13 @@ module Codec = struct
       loop []
     end
 
-  let scan_fact t c =
+  let scan_fact c =
     if not (is_lower c.src.[c.pos]) then raise Fallback;
     let name = scan_ident c in
     expect c '(';
     match name with
     | "happensAt" ->
-      let term = scan_term t c in
+      let term = scan_term c in
       expect c ',';
       skip_ws c;
       if c.pos >= c.len then raise Fallback;
@@ -279,7 +268,7 @@ module Codec = struct
       expect c '.';
       Stream.Event { Stream.time; term }
     | "holdsFor" ->
-      let f = scan_term t c in
+      let f = scan_term c in
       skip_ws c;
       (* exactly '=', not the lexer's two-character '=<' *)
       if
@@ -289,7 +278,7 @@ module Codec = struct
           && not (c.pos + 1 < c.len && c.src.[c.pos + 1] = '<'))
       then raise Fallback;
       c.pos <- c.pos + 1;
-      let v = scan_term t c in
+      let v = scan_term c in
       expect c ',';
       skip_ws c;
       let spans = scan_spans c in
@@ -298,17 +287,17 @@ module Codec = struct
       Stream.Fluent ((f, v), spans)
     | _ -> raise Fallback
 
-  let scan_items t source =
+  let scan_items source =
     let c = { src = source; len = String.length source; pos = 0 } in
     let rec loop acc n =
       skip_ws c;
       if c.pos >= c.len then (List.rev acc, n)
-      else loop (scan_fact t c :: acc) (n + 1)
+      else loop (scan_fact c :: acc) (n + 1)
     in
     loop [] 0
 
-  let items_of_string_ctx ~ctx t source =
-    match scan_items t source with
+  let items_of_string_ctx ~ctx source =
+    match scan_items source with
     | items, n ->
       Telemetry.Metrics.incr ~by:n m_fast;
       items
@@ -317,17 +306,16 @@ module Codec = struct
       Telemetry.Flight.record Codec_fallback ~a:(String.length source) ();
       items_via_parser ~ctx source
 
-  let items_of_string t source =
-    items_of_string_ctx ~ctx:"Io.items_of_string" t source
+  let items_of_string () source = items_of_string_ctx ~ctx:"Io.items_of_string" source
 end
 
 let stream_of_string source =
   Stream.of_items
-    (Codec.items_of_string_ctx ~ctx:"Io.stream_of_string" (Codec.create ()) source)
+    (Codec.items_of_string_ctx ~ctx:"Io.stream_of_string" source)
 
 (* The serve line protocol is the stream file format read incrementally:
    each parsed fact becomes one ingestion item, input order preserved. *)
-let items_of_string source = Codec.items_of_string (Codec.create ()) source
+let items_of_string source = Codec.items_of_string () source
 
 let knowledge_to_string kb =
   String.concat ""

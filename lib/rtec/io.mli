@@ -13,22 +13,20 @@ val stream_of_string : string -> Stream.t
 val items_of_string : string -> Stream.item list
 (** Parses a chunk of the stream format into ingestion items, input
     order preserved — the [serve] line protocol ([Runtime.Service]
-    consumes the items). Raises like {!stream_of_string}. Goes through a
-    fresh {!Codec.t}; long-lived readers should hold their own codec so
-    the atom memo persists across chunks. *)
+    consumes the items). Raises like {!stream_of_string}. The same as
+    {!Codec.items_of_string}. *)
 
 (** Fast-path line decoding. [Codec] recognises the two protocol fact
     shapes — [happensAt(F(args...), T).] and
     [holdsFor(F(args...) = V, [[S, E], ...]).] — by scanning bytes
-    directly into ground terms, memoising atoms so recurring vocabulary
-    is shared rather than re-allocated. It accepts a strict subset of
-    the full grammar; any input outside it (quoted atoms, variables,
-    arithmetic, rules, block comments) falls back to the general
-    lexer/parser pipeline for the whole chunk, so results and errors are
-    always exactly the parser's. Instrumented: [io.codec.fast] counts
+    directly into ground terms. It accepts a strict subset of the full
+    grammar; any input outside it (quoted atoms, variables, arithmetic,
+    rules, block comments) falls back to the general lexer/parser
+    pipeline for the whole chunk, so results and errors are always
+    exactly the parser's. Instrumented: [io.codec.fast] counts
     fast-decoded facts, [io.codec.fallback] counts chunks that took the
-    general path. A codec value is not thread-safe; give each reader its
-    own. *)
+    general path. A codec value carries no state: it retains nothing of
+    what it decodes, and readers on any thread may share one. *)
 module Codec : sig
   type t
 

@@ -84,7 +84,7 @@ val append : t -> t -> t
 val append_items : t -> ?input_fluents:((Term.t * Term.t) * Interval.t) list -> event array -> t
 (** [append_items s items] appends a batch of events (and optional input
     fluents) without building an intermediate stream — the array-based
-    fast path the streaming service's ingest scratch uses. Takes
+    fast path the streaming service appends each routed item with. Takes
     ownership of [items]: the array is sorted in place (stable, so
     equal-time events keep their array order) and must not be reused by
     the caller. Raises [Invalid_argument] on non-ground events or

@@ -12,10 +12,10 @@ let m_runs = Telemetry.Metrics.counter "runtime.runs"
 
 (* The one-shot run is a thin wrapper over {!Service}: seed the stream
    as [jobs] groups of entity components, drain the whole query grid in
-   one pass. The service evaluates each bucket with the same
-   [Window.Session] code a direct [Window.run] uses and merges the
-   per-bucket interval maps in the canonical fluent-value order, so the
-   batch differential guarantees (grouped == sequential, exact
+   one pass. The service evaluates each bucket with [Window.Session],
+   the code every query goes through, and merges the per-bucket
+   interval maps in the canonical fluent-value order, so the batch
+   differential guarantees (grouped == sequential, exact
    telemetry/provenance merge at join) carry over by construction. *)
 let run ~config:(config : config) ~event_description ~knowledge ~stream () =
   if config.jobs < 1 then Result.Error "jobs must be positive"

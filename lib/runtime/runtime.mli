@@ -67,14 +67,16 @@ val run :
 (** Recognises the event description over the stream: [Service.create],
     [Service.seed ~groups:jobs], [Service.drain].
 
-    With [jobs = 1] this is exactly [Window.run ?window ?step]: same
-    evaluation, same result order, same single-domain execution.
+    With [jobs = 1] this is one {!Rtec.Window.Session} swept over the
+    whole stream's query grid: the first query once a full window has
+    elapsed (capped at the stream's end), then every [step], and a final
+    query exactly at the end, on a single domain.
     Otherwise every bucket is evaluated over the {e same} query-time
     grid (the full stream's extent), and the per-bucket interval maps
     are unioned in the canonical fluent-value order — so the output is
     bit-identical to the sequential run. Streams that cannot be
     attributed to entities (an event with no entity key, or an event
     description with ground [initially] facts) run as a single bucket;
-    [stats.buckets] reports what actually ran. Fails like [Window.run] on
-    invalid window/step, on [jobs < 1], and on any bucket's engine error
-    (the lowest-numbered bucket's error wins, deterministically). *)
+    [stats.buckets] reports what actually ran. Fails on non-positive
+    window/step, on [jobs < 1], and on any bucket's engine error (the
+    lowest-numbered bucket's error wins, deterministically). *)

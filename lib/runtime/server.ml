@@ -96,13 +96,11 @@ let decode_line codec line =
     | exception (Rtec.Parser.Error { line; message } | Rtec.Lexer.Error { line; message }) ->
       Bad_line (Printf.sprintf "line %d: %s" line message))
 
-(* Each reader owns its codec, so the atom memo lives as long as the
-   connection. It reads its connection in chunks into one reusable
-   buffer and carries an unfinished line over to the next read; at EOF
-   an unterminated last line is a line, as [input_line] has it. Each
-   line is copied out of the buffer (the codec memoises atom names, so
-   it must never see the buffer itself) and decoded into the chunk's
-   burst, which is pushed whole, or every [ring_capacity] lines. *)
+(* A reader reads its connection in chunks into one reusable buffer and
+   carries an unfinished line over to the next read; at EOF an
+   unterminated last line is a line, as [input_line] has it. Each line
+   is copied out of the buffer and decoded into the chunk's burst,
+   which is pushed whole, or every [ring_capacity] lines. *)
 let reader ~slot ~ic ~ring =
   let codec = Rtec.Io.Codec.create () in
   let buf = Bytes.create 65536 in
@@ -252,16 +250,38 @@ let client_eof st ~slot ~dropped =
 
 (* The evaluator: a plain loop over the ring's messages, taken a batch
    at a time and handled in order, until every connection has sent its
-   EOF; then the final drain and its summary. *)
+   EOF; then the final drain and its summary. Each batch leaves one
+   [ingest] flight record for its items, with the late and dropped ones
+   among them, written before any tick the batch triggers (which cuts
+   the record in two) so that the ring holds whole sessions. *)
 let evaluate ~config ~on_tick st sinks =
   let last_tick = ref None in
   let batch = Queue.create () in
+  let burst = ref 0 in
+  let recorded =
+    let s = Service.stats st.svc in
+    ref (s.late_events, s.dropped_late)
+  in
+  let record_ingest () =
+    if !burst > 0 then begin
+      let s = Service.stats st.svc in
+      let late, dropped = !recorded in
+      Telemetry.Flight.record Ingest ~a:!burst ~b:(s.late_events - late)
+        ~c:(s.dropped_late - dropped) ();
+      burst := 0;
+      recorded := (s.late_events, s.dropped_late)
+    end
+  in
   let next () =
-    if Queue.is_empty batch then take st.ring batch;
+    if Queue.is_empty batch then begin
+      record_ingest ();
+      take st.ring batch
+    end;
     Queue.pop batch
   in
   let tick now =
     touch st;
+    record_ingest ();
     Result.map
       (fun r ->
         last_tick := Some now;
@@ -274,6 +294,7 @@ let evaluate ~config ~on_tick st sinks =
     match Service.ingest st.svc items with
     | exception Invalid_argument msg -> Ok (bad_line st msg)
     | () -> (
+      burst := !burst + List.length items;
       match (config.tick_every, Service.watermark st.svc) with
       | Some n, Some wm when (match !last_tick with None -> true | Some t -> wm >= t + n) ->
         tick wm
@@ -294,7 +315,11 @@ let evaluate ~config ~on_tick st sinks =
   and continue outcome open_clients =
     match outcome with Ok () -> loop open_clients | Error e -> Error e
   in
-  match Result.bind (loop (List.length sinks)) (fun () -> Service.drain st.svc) with
+  match
+    Result.bind (loop (List.length sinks)) (fun () ->
+        record_ingest ();
+        Service.drain st.svc)
+  with
   | Error e -> Error (Recognition e)
   | Ok r ->
     emit st sinks pp_final r;

@@ -1,18 +1,19 @@
 (* Long-lived streaming recognition sessions.
 
    A service owns per-entity-shard ("bucket") evaluation state that
-   persists across windows: each bucket wraps a [Rtec.Window.Session]
-   over that shard's slice of the input, so the live path evaluates
-   queries with exactly the code the one-shot [Runtime.run] uses — the
-   batch/streaming differential guarantees hold by construction.
+   persists across windows: each bucket holds that shard's slice of the
+   input and, from its creation, a [Rtec.Window.Session] that evaluates
+   it, so the live path evaluates queries with exactly the code the
+   one-shot [Runtime.run] uses — the batch/streaming differential
+   guarantees hold by construction.
 
    Out-of-order input is repaired by bounded revision: after each
    processed query the bucket checkpoints its (persistent, O(1) to
    snapshot) state; a late item whose lateness is within the configured
    horizon rolls the owning bucket back to the newest checkpoint before
-   the item's time and replays the overlapping windows over the merged
-   stream, which converges to the in-order batch result. Later items
-   are counted and dropped.
+   the item's time, or to the pristine state, and replays the
+   overlapping windows over the merged stream, which converges to the
+   in-order batch result. Later items are counted and dropped.
 
    Bucket assignment is dynamic, and this router is the repo's one
    entity partitioner (batch [Runtime.run] seeds through it too): items
@@ -85,14 +86,12 @@ type result = {
 type bucket = {
   id : int;
   mutable stream : Rtec.Stream.t;
-  mutable session : Session.t option;
-  mutable initial : Session.checkpoint option;
-      (* pristine state, the rollback target for revisions older than
-         every retained checkpoint of a young bucket *)
-  mutable pending : (int * Session.checkpoint) list;  (* newest first *)
-  mutable floor : (int * Session.checkpoint) option;
-      (* the newest finalised checkpoint: old enough that no acceptable
-         late item can require earlier state *)
+  session : Session.t;
+  mutable checkpoints : (int * Session.state) list;
+      (* newest first, one per processed query; once finalised, the
+         oldest is the newest checkpoint at or before the revision
+         boundary, old enough that no acceptable late item can require
+         earlier state *)
   mutable entities : Rtec.Term.t list;
   mutable mentioned : Rtec.Term.t list;  (* the subterms it entered in [mentions] *)
   mutable last_seen : int;
@@ -101,9 +100,7 @@ type bucket = {
 
 type t = {
   cfg : config;
-  plan : Rtec.Engine.plan Lazy.t;
-      (* analysed once, at the first pass rather than by [create] so that
-         start-up does not pay for it; shared by every bucket's session *)
+  event_description : Rtec.Ast.t;
   knowledge : Rtec.Knowledge.t;
   mutable buckets : bucket list;  (* the live buckets, newest (highest id) first *)
   mutable next_id : int;
@@ -115,7 +112,10 @@ type t = {
   mutable ev_lo : int option;
   mutable ev_hi : int option;  (* event extent of accepted input *)
   mutable lo : int option;  (* grid origin, frozen at the first query *)
-  mutable resolved : (int * int) option;  (* effective (window, step) *)
+  mutable resolved : (Session.params * int * int) option;
+      (* every bucket's evaluation parameters and the effective window
+         and step, resolved at the first pass rather than by [create] so
+         that start-up does not pay for the plan *)
   mutable prev_q : int option;
   mutable processed : int list;
       (* query times processed so far, newest first, trimmed to the
@@ -138,7 +138,7 @@ type t = {
 let create ~config ~event_description ~knowledge () =
   {
     cfg = config;
-    plan = lazy (Rtec.Engine.plan event_description);
+    event_description;
     knowledge;
     buckets = [];
     next_id = 0;
@@ -171,10 +171,8 @@ let new_bucket svc =
     {
       id = svc.next_id;
       stream = Rtec.Stream.make [];
-      session = None;
-      initial = None;
-      pending = [];
-      floor = None;
+      session = Session.create ();
+      checkpoints = [];
       entities = [];
       mentioned = [];
       last_seen = min_int;
@@ -194,7 +192,7 @@ let merge_pending pa pb =
     match (pa, pb) with
     | [], rest | rest, [] -> List.rev_append acc rest
     | (qa, ca) :: ta, (qb, cb) :: tb ->
-      if qa = qb then go ta tb ((qa, Session.merge_checkpoint ca cb) :: acc)
+      if qa = qb then go ta tb ((qa, Session.merge ca cb) :: acc)
       else if qa > qb then go ta pb ((qa, ca) :: acc)
       else go pa tb ((qb, cb) :: acc)
   in
@@ -209,21 +207,9 @@ let merge_buckets svc a b =
   if a == b then a
   else begin
     let a, b = if a.id <= b.id then (a, b) else (b, a) in
-    (match (a.session, b.session) with
-    | Some sa, Some sb -> Session.absorb sa sb
-    | None, Some _ ->
-      a.session <- b.session;
-      a.initial <- b.initial
-    | _, None -> ());
+    Session.absorb a.session b.session;
     a.stream <- Rtec.Stream.append a.stream b.stream;
-    a.pending <- merge_pending a.pending b.pending;
-    (a.floor <-
-       (match (a.floor, b.floor) with
-       | None, x | x, None -> x
-       | Some (qa, ca), Some (qb, cb) ->
-         if qa = qb then Some (qa, Session.merge_checkpoint ca cb)
-         else if qa < qb then a.floor
-         else b.floor));
+    a.checkpoints <- merge_pending a.checkpoints b.checkpoints;
     a.entities <- b.entities @ a.entities;
     List.iter (fun e -> TermTbl.replace svc.by_entity e a) b.entities;
     a.mentioned <- List.rev_append b.mentioned a.mentioned;
@@ -382,58 +368,46 @@ let ingest_batch svc items =
       end)
     items
 
-let ingest svc items =
-  let late0 = svc.n_late and dropped0 = svc.n_dropped in
-  Telemetry.Metrics.time_us h_stage_route (fun () -> ingest_batch svc items);
-  Telemetry.Flight.record Ingest ~a:(List.length items) ~b:(svc.n_late - late0)
-    ~c:(svc.n_dropped - dropped0) ()
+(* The serve loop writes the [ingest] flight records, one per burst of
+   lines rather than one per call. *)
+let ingest svc items = Telemetry.Metrics.time_us h_stage_route (fun () -> ingest_batch svc items)
 
 (* --- query scheduling and evaluation --- *)
 
-let resolve_ws svc hi_opt =
+(* The evaluation parameters every bucket shares, resolved once, at the
+   first pass: that is when the plan is built, so start-up does not pay
+   for it. *)
+let resolve svc extent =
   match svc.resolved with
-  | Some ws -> Result.Ok ws
+  | Some r -> Result.Ok r
   | None -> (
-    let check (w, s) =
-      if w <= 0 || s <= 0 then Result.Error "window and step must be positive"
-      else begin
-        svc.resolved <- Some (w, s);
-        Ok (w, s)
-      end
+    let window =
+      match (svc.cfg.window, extent) with
+      | Some w, _ -> Some w
+      | None, Some (lo, hi) -> Some (hi - lo + 1)  (* the batch default: the whole extent *)
+      | None, None -> None
     in
-    match (svc.cfg.window, hi_opt) with
-    | Some w, _ -> check (w, Option.value ~default:w svc.cfg.step)
-    | None, Some (lo, hi) ->
-      (* The batch default: one window spanning the whole extent. *)
-      let w = hi - lo + 1 in
-      check (w, Option.value ~default:w svc.cfg.step)
-    | None, None -> Error "tick requires an explicit window")
+    match window with
+    | None -> Result.Error "tick requires an explicit window"
+    | Some w ->
+      let s = Option.value ~default:w svc.cfg.step in
+      Result.map
+        (fun params ->
+          svc.resolved <- Some (params, w, s);
+          (params, w, s))
+        (Session.params ~compile:svc.cfg.compile ~window:w ~step:s
+           ~plan:(Rtec.Engine.plan svc.event_description) ~knowledge:svc.knowledge ()))
 
-let ensure_session svc ~plan ~w ~s b =
-  match b.session with
-  | Some session ->
-    if Session.stream session != b.stream then Session.set_stream session b.stream;
-    Result.Ok session
-  | None -> (
-    match
-      Session.create ~compile:svc.cfg.compile ~window:w ~step:s ~plan
-        ~knowledge:svc.knowledge ~stream:b.stream ()
-    with
-    | Error e -> Result.Error e
-    | Ok session ->
-      b.session <- Some session;
-      b.initial <- Some (Session.save session);
-      Ok session)
-
-(* Roll an out-of-date bucket back to the newest checkpoint strictly
-   before the earliest late item [t] and return the query times to
-   replay: every globally processed query at or after [t] (the bucket's
-   own checkpoints cover exactly the processed queries before [t], and a
-   bucket created after a query was processed was pristine then, so
-   replaying it on the restored state derives what the batch shard
-   would). The acceptance bound guarantees a rollback target is
-   retained: an accepted item is newer than [prev_q - horizon], and the
-   floor is at least that old. *)
+(* Roll an out-of-date bucket back to its newest checkpoint strictly
+   before the earliest late item [t], or to the pristine state if it has
+   none, and return the query times to replay: every globally processed
+   query at or after [t] (the bucket's checkpoints cover exactly the
+   processed queries before [t], and a bucket created after a query was
+   processed was pristine then, so replaying it on the restored state
+   derives what the batch shard would). The acceptance bound guarantees
+   a rollback target is retained: an accepted item is newer than
+   [prev_q - horizon], and finalisation keeps a checkpoint at least that
+   old. *)
 let plan_revision svc b =
   match b.revise_from with
   | None -> []
@@ -441,65 +415,46 @@ let plan_revision svc b =
     b.revise_from <- None;
     svc.n_revisions <- svc.n_revisions + 1;
     Telemetry.Metrics.incr m_revisions;
-    let keep = List.filter (fun (q, _) -> q < t) b.pending in
-    (match keep with
-    | (_, cp) :: _ ->
-      b.pending <- keep;
-      Option.iter (fun s -> Session.restore s cp) b.session
-    | [] -> (
-      b.pending <- [];
-      match b.floor with
-      | Some (_, cp) -> Option.iter (fun s -> Session.restore s cp) b.session
-      | None -> (
-        (* never checkpointed below [t]: the bucket is young — its state
-           before its first processed query was pristine *)
-        match (b.session, b.initial) with
-        | Some s, Some cp -> Session.restore s cp
-        | _ -> ())));
+    let rec before = function (q, _) :: rest when q >= t -> before rest | cps -> cps in
+    b.checkpoints <- before b.checkpoints;
+    Session.restore b.session
+      (match b.checkpoints with (_, cp) :: _ -> cp | [] -> Session.pristine);
     let replays = List.filter (fun q -> q >= t) (List.rev svc.processed) in
     Telemetry.Flight.record Revision ~a:b.id ~b:t ~c:(List.length replays) ();
     replays
 
-let run_bucket svc ~plan ~w ~s ~lo (b, worklist) =
-  match ensure_session svc ~plan ~w ~s b with
-  | Result.Error e -> Result.Error e
-  | Ok session ->
-    Telemetry.Trace.with_span "window.run"
-      ~args:
-        [
-          ("window", Telemetry.Trace.Int w);
-          ("step", Telemetry.Trace.Int s);
-          ("delta_ok", Telemetry.Trace.Bool (Session.delta_ok session));
-        ]
-      (fun () ->
-        let rec loop = function
-          | [] -> Result.Ok ()
-          | q :: rest -> (
-            match Session.process session ~lo q with
-            | Error e -> Result.Error e
-            | Ok () ->
-              if svc.cfg.horizon > 0 then
-                b.pending <- (q, Session.save session) :: b.pending;
-              loop rest)
-        in
-        loop worklist)
+let run_bucket svc ~resolved:(params, w, s) ~lo (b, worklist) =
+  Telemetry.Trace.with_span "window.run"
+    ~args:
+      [
+        ("window", Telemetry.Trace.Int w);
+        ("step", Telemetry.Trace.Int s);
+        ("delta_ok", Telemetry.Trace.Bool (Session.delta_ok params));
+      ]
+    (fun () ->
+      let rec loop = function
+        | [] -> Result.Ok ()
+        | q :: rest -> (
+          match Session.process params b.session ~stream:b.stream ~lo q with
+          | Error e -> Result.Error e
+          | Ok () ->
+            if svc.cfg.horizon > 0 then
+              b.checkpoints <- (q, Session.save b.session) :: b.checkpoints;
+            loop rest)
+      in
+      loop worklist)
 
 let retire svc b =
-  (match b.session with
-  | None -> ()
-  | Some s ->
-    List.iter
-      (fun (fv, spans) ->
-        svc.retired <-
-          FvpMap.update fv
-            (function
-              | None -> Some spans
-              | Some prev -> Some (Rtec.Interval.union prev spans))
-            svc.retired)
-      (Session.result s);
-    let st : Rtec.Window.stats = Session.stats s in
-    svc.retired_queries <- svc.retired_queries + st.queries;
-    svc.retired_events <- svc.retired_events + st.events_processed);
+  List.iter
+    (fun (fv, spans) ->
+      svc.retired <-
+        FvpMap.update fv
+          (function None -> Some spans | Some prev -> Some (Rtec.Interval.union prev spans))
+          svc.retired)
+    (Session.result b.session);
+  let st : Rtec.Window.stats = Session.stats b.session in
+  svc.retired_queries <- svc.retired_queries + st.queries;
+  svc.retired_events <- svc.retired_events + st.events_processed;
   (* Its entities are forgotten, and so are the mentions that only its
      keys held. *)
   List.iter (TermTbl.remove svc.by_entity) b.entities;
@@ -523,27 +478,27 @@ let finalise_and_evict svc ~w ~now =
     (* No acceptable late item can be older than [boundary], so queries
        at or before it are never replayed. *)
     svc.processed <- List.filter (fun q -> q > boundary) svc.processed;
+    (* Each bucket keeps the checkpoints after the boundary and the
+       newest at or before it, its floor. *)
+    let rec finalise = function
+      | ((q, _) as cp) :: rest when q > boundary -> cp :: finalise rest
+      | floor :: _ -> [ floor ]
+      | [] -> []
+    in
     List.iter
       (fun b ->
-        let rec go kept = function
-          | ((q, _) as e) :: rest when q > boundary -> go (e :: kept) rest
-          | (q, cp) :: _ ->
-            b.floor <- Some (q, cp);
-            b.pending <- List.rev kept
-          | [] -> b.pending <- List.rev kept
-        in
-        go [] b.pending;
+        b.checkpoints <- finalise b.checkpoints;
         (* Trim finalised history once at least a window's worth is
            droppable. The session refreshes its compiled program onto
            the retained suffix, and compiles afresh only once the
            program's intern table has doubled since its last compile,
            which keeps the table bounded by the retained stream. *)
-        match b.floor with
+        match List.find_opt (fun (q, _) -> q <= boundary) b.checkpoints with
         | Some (fq, _) when Rtec.Stream.size b.stream > 0 ->
           let keep_from = fq - w + 2 in
           if fst (Rtec.Stream.extent b.stream) < keep_from - w then begin
             b.stream <- Rtec.Stream.drop_before b.stream keep_from;
-            Option.iter (fun s -> Session.set_stream ~trimmed:true s b.stream) b.session
+            Session.trimmed b.session
           end
         | _ -> ())
       svc.buckets
@@ -554,7 +509,7 @@ let finalise_and_evict svc ~w ~now =
     svc.buckets <-
       List.filter
         (fun b ->
-          let idle = b.session <> None && now - b.last_seen > ttl_eff in
+          let idle = Session.prev_q b.session <> None && now - b.last_seen > ttl_eff in
           if idle then retire svc b;
           not idle)
         svc.buckets
@@ -568,14 +523,7 @@ let finalise_and_evict svc ~w ~now =
    (--emit final serving, watermark-driven ticking) never pay the
    amalgamation over an ever-growing history. *)
 let capture_intervals svc =
-  let seqs =
-    List.filter_map
-      (fun b ->
-        match b.session with
-        | Some s -> Some (Session.result_seq s)
-        | _ -> None)
-      svc.buckets
-  in
+  let seqs = List.map (fun b -> Session.result_seq b.session) svc.buckets in
   let retired = svc.retired in
   lazy
     (let merged =
@@ -597,11 +545,8 @@ let stats svc =
   let queries, events =
     List.fold_left
       (fun (q, e) b ->
-        match b.session with
-        | Some s ->
-          let st : Rtec.Window.stats = Session.stats s in
-          (q + st.queries, e + st.events_processed)
-        | _ -> (q, e))
+        let st : Rtec.Window.stats = Session.stats b.session in
+        (q + st.queries, e + st.events_processed))
       (svc.retired_queries, svc.retired_events)
       svc.buckets
   in
@@ -618,12 +563,9 @@ let stats svc =
     entities_evicted = svc.n_evicted;
   }
 
-let process_pass_inner svc ~w ~s ~now qs =
+let process_pass_inner svc ~resolved ~now qs =
   (if qs <> [] && svc.lo = None then svc.lo <- Some (Option.value ~default:0 svc.ev_lo));
   let lo = Option.value ~default:0 svc.lo in
-  (* Forced before any fan-out: a lazy value must not be forced from two
-     domains at once. *)
-  let plan = Lazy.force svc.plan in
   let work =
     List.filter_map
       (fun b ->
@@ -653,9 +595,9 @@ let process_pass_inner svc ~w ~s ~now qs =
                     ("shard", Telemetry.Trace.Int i);
                     ("events", Telemetry.Trace.Int (Rtec.Stream.size b.stream));
                   ]
-                (fun () -> run_bucket svc ~plan ~w ~s ~lo wb))
+                (fun () -> run_bucket svc ~resolved ~lo wb))
             work
-        else Array.map (run_bucket svc ~plan ~w ~s ~lo) work
+        else Array.map (run_bucket svc ~resolved ~lo) work
       in
       (* The lowest-numbered bucket's error wins, deterministically. *)
       let rec first_error i =
@@ -674,14 +616,14 @@ let process_pass_inner svc ~w ~s ~now qs =
       svc.prev_q <- Some last;
       if svc.cfg.horizon > 0 then svc.processed <- List.rev_append qs svc.processed
     | [] -> ());
+    let _, w, _ = resolved in
     finalise_and_evict svc ~w ~now;
     if Rtec.Derivation.is_enabled () then Rtec.Derivation.publish_metrics ();
     Ok { intervals = capture_intervals svc; watermark = svc.ev_hi; stats = stats svc }
 
-let process_pass svc ~w ~s ~now qs =
+let process_pass svc ~resolved ~now qs =
   let r =
-    Telemetry.Metrics.time_us h_stage_evaluate (fun () ->
-        process_pass_inner svc ~w ~s ~now qs)
+    Telemetry.Metrics.time_us h_stage_evaluate (fun () -> process_pass_inner svc ~resolved ~now qs)
   in
   (match r with
   | Ok res ->
@@ -708,23 +650,24 @@ let grid_until svc ~w ~s until =
   gen start []
 
 let tick svc ~now =
-  match resolve_ws svc None with
+  match resolve svc None with
   | Result.Error e -> Result.Error e
-  | Ok (w, s) -> process_pass svc ~w ~s ~now:(Some now) (grid_until svc ~w ~s now)
+  | Ok ((_, w, s) as resolved) ->
+    process_pass svc ~resolved ~now:(Some now) (grid_until svc ~w ~s now)
 
 let drain svc =
   let lo = Option.value ~default:0 svc.ev_lo in
   let hi = Option.value ~default:0 svc.ev_hi in
-  match resolve_ws svc (Some (lo, hi)) with
+  match resolve svc (Some (lo, hi)) with
   | Result.Error e -> Result.Error e
-  | Ok (w, s) ->
+  | Ok ((_, w, s) as resolved) ->
     (* The batch grid: every step until the end of the stream, with a
-       final query exactly at the end — [Window.query_times]'s shape. *)
+       final query exactly at the end. *)
     let qs = grid_until svc ~w ~s (hi - 1) in
     let qs =
       match svc.prev_q with Some pq when pq >= hi -> qs | _ -> qs @ [ hi ]
     in
-    process_pass svc ~w ~s ~now:(Some hi) qs
+    process_pass svc ~resolved ~now:(Some hi) qs
 
 (* --- batch seeding (the Runtime.run wrapper) --- *)
 

@@ -8,10 +8,11 @@
     across windows in entity shards ("buckets"): the service routes
     every item to the bucket of its entity-connected component, and is
     the repo's one entity partitioner — [Runtime.run] seeds a service
-    too. Every bucket is driven by a {!Rtec.Window.Session}, the exact
-    per-query evaluation code of the batch path, so streaming results
-    are bit-identical to an in-order batch run over the same accepted
-    input.
+    too. Every bucket is driven by a {!Rtec.Window.Session}, created
+    with the bucket and evaluating with the parameters the service
+    resolves once, at its first pass: the exact per-query evaluation
+    code of the batch path, so streaming results are bit-identical to
+    an in-order batch run over the same accepted input.
 
     Routing: an argument becomes an entity key the first time it leads
     an event or input fluent (the RTEC convention puts the entity first:
@@ -26,10 +27,12 @@
     single bucket.
 
     Out-of-order items are repaired by bounded revision: each processed
-    query checkpoints the owning bucket's state (O(1), persistent maps);
-    a late item within the {!config}'s revision horizon rolls the bucket
-    back to the newest checkpoint before the item's time and replays the
-    overlapping queries over the merged stream. Later items are counted
+    query checkpoints the owning bucket's state (O(1), persistent maps)
+    onto the bucket's one checkpoint list; a late item within the
+    {!config}'s revision horizon rolls the bucket back to the newest
+    checkpoint before the item's time, or to the pristine state when
+    the bucket has none that old, and replays the overlapping queries
+    over the merged stream. Later items are counted
     ([stream.late_events] / [stream.dropped_late]) and dropped. Idle
     entities can be evicted after a TTL: their recognised intervals are
     frozen into the service result, and their bucket is dropped with
@@ -116,10 +119,11 @@ type t
 
 val create :
   config:config -> event_description:Rtec.Ast.t -> knowledge:Rtec.Knowledge.t -> unit -> t
-(** A fresh session; never fails (window/step validation surfaces at the
-    first {!tick}/{!drain}, like [Window.run]). The event description is
-    analysed once per session, at its first evaluation pass, into the
-    {!Rtec.Engine.plan} every bucket's [Window.Session] shares. *)
+(** A fresh session; never fails: window and step are resolved and
+    validated at the first {!tick}/{!drain}, which is also when the
+    event description is analysed, once per session, into the
+    {!Rtec.Window.Session.params} every bucket's session evaluates
+    with. *)
 
 val ingest : t -> Rtec.Stream.item list -> unit
 (** Feed a batch of stream items, in arrival order. Events need not be
@@ -136,11 +140,11 @@ val ingest : t -> Rtec.Stream.item list -> unit
 val tick : t -> now:int -> (result, string) Result.t
 (** Advance the query grid through every query time at or before [now]
     (plus any scheduled revision replays) and return the amalgamated
-    result. Query times follow [Window.query_times]'s grid: the first
-    once a full window has elapsed from the first event, then every
-    step. Ticking beyond the watermark evaluates empty window suffixes —
-    meaningful when wall-clock time passes without events. Also applies
-    TTL eviction, with [now] as the clock. *)
+    result. Query times follow one grid: the first once a full window
+    has elapsed from the first event, then every step. Ticking beyond
+    the watermark evaluates empty window suffixes — meaningful when
+    wall-clock time passes without events. Also applies TTL eviction,
+    with [now] as the clock. *)
 
 val drain : t -> (result, string) Result.t
 (** Process every remaining query up to the watermark plus the final

@@ -17,7 +17,7 @@
     operands per kind (see {!to_json}). *)
 
 type kind =
-  | Ingest  (** a = items accepted, b = late, c = dropped *)
+  | Ingest  (** one evaluator burst: a = items ingested, b = late, c = dropped *)
   | Tick  (** a = now (event time), b = cumulative queries, c = live buckets *)
   | Revision  (** a = bucket id, b = earliest late time, c = queries to replay *)
   | Evict  (** a = bucket id, b = entities folded, c = last event time seen *)

@@ -3,8 +3,9 @@
    sentinel to the same source — outside the codec's subset, so the whole
    chunk takes the fallback path — and requires the two decodes to agree
    item for item (the sentinel itself reads back identically on both
-   paths). Plus: printed streams round-trip through the codec, and the
-   fast/fallback telemetry counters tell the two paths apart. *)
+   paths). Plus: printed streams round-trip through the codec, the
+   fast/fallback telemetry counters tell the two paths apart, and a
+   codec retains nothing of what it decodes. *)
 
 open Rtec
 
@@ -217,6 +218,25 @@ let test_bad_lines_error_like_parser () =
       "happensAt(gap(v1), ).";
     ]
 
+(* A long-lived connection keeps one codec for its whole life, so the
+   codec must retain nothing of what it decodes: after 10,000 lines,
+   each naming an atom no other line has, it is as small as a fresh
+   one. *)
+let test_codec_retains_nothing () =
+  let codec = Io.Codec.create () in
+  let fresh = Obj.reachable_words (Obj.repr (Io.Codec.create ())) in
+  for i = 1 to 10_000 do
+    match
+      Io.Codec.items_of_string codec
+        (Printf.sprintf "happensAt(stop_start(v%d, area_%d), %d).\n" i i i)
+    with
+    | [ Stream.Event { term = Term.Compound (_, [ _; Term.Atom a ]); _ } ] ->
+      if a <> Printf.sprintf "area_%d" i then Alcotest.failf "line %d decoded %s" i a
+    | _ -> Alcotest.failf "line %d did not decode to one event" i
+  done;
+  Alcotest.(check int) "reachable words of the codec" fresh
+    (Obj.reachable_words (Obj.repr codec))
+
 let suite =
   [
     qtest "codec == parser on generated chunks" arbitrary_chunk prop_codec_matches_parser;
@@ -229,4 +249,5 @@ let suite =
     Alcotest.test_case "subset edge cases match the parser" `Quick test_codec_subset_edges;
     Alcotest.test_case "malformed lines error like the parser" `Quick
       test_bad_lines_error_like_parser;
+    Alcotest.test_case "a codec retains nothing it decodes" `Quick test_codec_retains_nothing;
   ]

@@ -22,7 +22,7 @@ let check_identical msg compiled interpreted =
 
 let window_run ~compile ~event_description ~knowledge ~stream () =
   match
-    Window.run ~window:3600 ~step:1800 ~compile ~event_description ~knowledge ~stream ()
+    Oracle.Window.run ~window:3600 ~step:1800 ~compile ~event_description ~knowledge ~stream ()
   with
   | Ok (r, _) -> r
   | Error e -> failwith e
@@ -392,7 +392,7 @@ let prop_random_streams =
       let stream = Stream.make (events_of_case evs) in
       let run compile =
         match
-          Window.run ~window:40 ~step:20 ~compile ~event_description:random_ed
+          Oracle.Window.run ~window:40 ~step:20 ~compile ~event_description:random_ed
             ~knowledge:random_knowledge ~stream ()
         with
         | Ok (r, _) -> r

@@ -139,8 +139,9 @@ let prop_windowing =
       in
       let stream = Stream.make events in
       match
-        ( Window.run ~window ~step ~event_description:ed ~knowledge:Knowledge.empty ~stream (),
-          Window.run ~event_description:ed ~knowledge:Knowledge.empty ~stream () )
+        ( Oracle.Window.run ~window ~step ~event_description:ed ~knowledge:Knowledge.empty
+            ~stream (),
+          Oracle.Window.run ~event_description:ed ~knowledge:Knowledge.empty ~stream () )
       with
       | Ok (windowed, _), Ok (single, _) ->
         let fvp = (Parser.parse_term "f(x)", Term.Atom "true") in
@@ -191,7 +192,7 @@ let test_maritime_incremental_equals_single () =
   List.iter
     (fun (window, step) ->
       match
-        Window.run ~window ~step ~event_description:ed ~knowledge:data.knowledge ~stream ()
+        Oracle.Window.run ~window ~step ~event_description:ed ~knowledge:data.knowledge ~stream ()
       with
       | Error e -> Alcotest.failf "windowed run (%d/%d) failed: %s" window step e
       | Ok (result, stats) ->
@@ -241,7 +242,7 @@ let prop_engine_robust =
     (fun ed ->
       let data = Lazy.force tiny_dataset in
       match
-        Window.run ~window:7200 ~step:7200 ~event_description:ed
+        Oracle.Window.run ~window:7200 ~step:7200 ~event_description:ed
           ~knowledge:data.knowledge ~stream:data.stream ()
       with
       | Ok _ | Error _ -> true)

@@ -281,7 +281,7 @@ let test_window_stats () =
   let ed = [ Parser.parse_definition ~name:"t" source ] in
   let events = List.init 10 (fun i -> ev (i * 10) "switch_on(d)") in
   match
-    Window.run ~window:20 ~step:20 ~event_description:ed ~knowledge:Knowledge.empty
+    Oracle.Window.run ~window:20 ~step:20 ~event_description:ed ~knowledge:Knowledge.empty
       ~stream:(Stream.make events) ()
   with
   | Error e -> Alcotest.failf "window run failed: %s" e
@@ -291,7 +291,7 @@ let test_window_stats () =
       (stats.events_processed >= 10)
 
 let test_query_times () =
-  let qt = Window.query_times in
+  let qt = Oracle.Window.query_times in
   Alcotest.(check (list int)) "basic sweep" [ 9; 19; 29; 35 ]
     (qt ~lo:0 ~hi:35 ~window:10 ~step:10);
   Alcotest.(check (list int)) "step landing on hi is not queried twice" [ 9; 19; 29 ]
@@ -311,7 +311,7 @@ let test_short_stream_single_query () =
   in
   let stream = Stream.make [ ev 3 "switch_on(d)"; ev 8 "switch_on(d)" ] in
   match
-    Window.run ~window:1000 ~step:1000 ~event_description:ed ~knowledge:Knowledge.empty
+    Oracle.Window.run ~window:1000 ~step:1000 ~event_description:ed ~knowledge:Knowledge.empty
       ~stream ()
   with
   | Error e -> Alcotest.failf "window run failed: %s" e
@@ -335,9 +335,9 @@ let test_windowed_equals_single_window () =
   in
   let stream = Stream.make events in
   match
-    ( Window.run ~window:30 ~step:15 ~event_description:ed ~knowledge:Knowledge.empty
+    ( Oracle.Window.run ~window:30 ~step:15 ~event_description:ed ~knowledge:Knowledge.empty
         ~stream (),
-      Window.run ~event_description:ed ~knowledge:Knowledge.empty ~stream () )
+      Oracle.Window.run ~event_description:ed ~knowledge:Knowledge.empty ~stream () )
   with
   | Ok (windowed, stats), Ok (single, _) ->
     Alcotest.(check bool) "several queries ran" true (stats.queries > 3);

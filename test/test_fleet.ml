@@ -35,7 +35,7 @@ let recognition =
   lazy
     (let stream, knowledge = Fleet.generate () in
      match
-       Window.run ~window:3600 ~step:1800
+       Oracle.Window.run ~window:3600 ~step:1800
          ~event_description:(Domain.event_description domain) ~knowledge ~stream ()
      with
      | Ok (result, _) -> result

@@ -2,7 +2,7 @@ open Assignment
 
 let test_known_3x3 () =
   let cost = [| [| 4.; 1.; 3. |]; [| 2.; 0.; 5. |]; [| 3.; 2.; 2. |] |] in
-  let assignment, total = Kuhn_munkres.solve cost in
+  let assignment, total = Oracle.Kuhn_munkres.solve cost in
   Alcotest.(check (float 1e-9)) "optimal total" 5. total;
   (* 1 + 2 + 2: rows to columns 1, 0, 2. *)
   Alcotest.(check (array int)) "assignment" [| 1; 0; 2 |] assignment
@@ -10,19 +10,19 @@ let test_known_3x3 () =
 let test_identity () =
   let n = 5 in
   let cost = Array.init n (fun i -> Array.init n (fun j -> if i = j then 0. else 1.)) in
-  let assignment, total = Kuhn_munkres.solve cost in
+  let assignment, total = Oracle.Kuhn_munkres.solve cost in
   Alcotest.(check (float 1e-9)) "zero total" 0. total;
   Array.iteri (fun i j -> Alcotest.(check int) "diagonal" i j) assignment
 
 let test_empty () =
-  let assignment, total = Kuhn_munkres.solve [||] in
+  let assignment, total = Oracle.Kuhn_munkres.solve [||] in
   Alcotest.(check int) "empty assignment" 0 (Array.length assignment);
   Alcotest.(check (float 1e-9)) "zero" 0. total
 
 let test_non_square_rejected () =
   Alcotest.check_raises "ragged"
     (Invalid_argument "Kuhn_munkres.solve: matrix is not square") (fun () ->
-      ignore (Kuhn_munkres.solve [| [| 1. |]; [| 1.; 2. |] |]))
+      ignore (Oracle.Kuhn_munkres.solve [| [| 1. |]; [| 1.; 2. |] |]))
 
 let test_rectangular () =
   (* The cost matrix of Example 4.4: 3 expressions vs 2; the padded third
@@ -78,14 +78,14 @@ let prop_optimal =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"matches brute force on small matrices" ~count:200
        arbitrary_matrix (fun cost ->
-         let _, total = Kuhn_munkres.solve cost in
+         let _, total = Oracle.Kuhn_munkres.solve cost in
          Float.abs (total -. brute_force cost) < 1e-6))
 
 let prop_permutation =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"assignment is a permutation" ~count:200 arbitrary_matrix
        (fun cost ->
-         let assignment, _ = Kuhn_munkres.solve cost in
+         let assignment, _ = Oracle.Kuhn_munkres.solve cost in
          let seen = Array.make (Array.length cost) false in
          Array.for_all
            (fun j ->
@@ -109,7 +109,7 @@ let padded_oracle cost =
     let padded =
       Array.map (fun row -> Array.init m (fun j -> if j < k then row.(j) else 0.)) cost
     in
-    let assignment, total = Kuhn_munkres.solve padded in
+    let assignment, total = Oracle.Kuhn_munkres.solve padded in
     let pairs = ref [] in
     for i = m - 1 downto 0 do
       if assignment.(i) < k then pairs := (i, assignment.(i)) :: !pairs

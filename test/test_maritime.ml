@@ -136,7 +136,7 @@ let test_dataset_generation () =
 let detect ed =
   let data = Lazy.force dataset in
   match
-    Window.run ~window:3600 ~step:1800 ~event_description:ed ~knowledge:data.knowledge
+    Oracle.Window.run ~window:3600 ~step:1800 ~event_description:ed ~knowledge:data.knowledge
       ~stream:data.stream ()
   with
   | Ok (result, _) -> result

@@ -325,7 +325,7 @@ let test_sequential_matches_window_run () =
   let ed = Maritime.Gold.event_description in
   let via_window =
     match
-      Window.run ~window:3600 ~step:1800 ~event_description:ed ~knowledge:data.knowledge
+      Oracle.Window.run ~window:3600 ~step:1800 ~event_description:ed ~knowledge:data.knowledge
         ~stream:data.stream ()
     with
     | Ok (r, s) -> (exact r, s.Window.queries, s.Window.events_processed)

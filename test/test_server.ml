@@ -4,10 +4,11 @@
    stops reading saturates the ring without losing a tick; a connection
    whose output is closed is dropped while the other still gets
    everything; bad lines leave only a warning, a flight record and a
-   count; the admin routes answer mid-session; an exception raised
-   while evaluating fails the session and releases its ports; where the
-   reads of a connection happen to end changes no output byte. Every
-   wait polls with a deadline. *)
+   count; the flight recorder holds a whole session; the admin routes
+   answer mid-session; an exception raised while evaluating fails the
+   session and releases its ports; where the reads of a connection
+   happen to end changes no output byte. Every wait polls with a
+   deadline. *)
 
 open Rtec
 module Server = Runtime.Server
@@ -454,6 +455,51 @@ let test_bad_lines () =
   in
   Alcotest.(check int) "one warning per bad line" n (List.length warnings)
 
+(* --- the flight recorder --- *)
+
+(* 5,000 event lines with a [tick(T).] after every 100. The evaluator
+   writes one [ingest] record per batch it takes, cut at each tick, not
+   one per line, so the default 4,096-record ring holds the whole
+   session: every tick record, the drain's included, and before the
+   k-th tick exactly the 100 k items sent before its line. *)
+let test_flight_holds_session () =
+  Telemetry.Flight.set_capacity 4096;
+  let blocks = 50 and per_block = 100 in
+  let lines =
+    List.concat
+      (List.init blocks (fun k ->
+           List.init per_block (fun i ->
+               Printf.sprintf "happensAt(%s(v%d), %d)."
+                 (if i land 1 = 0 then "start" else "stop")
+                 (i mod 7)
+                 ((k * per_block) + i + 1))
+           @ [ Printf.sprintf "tick(%d)." ((k + 1) * per_block) ]))
+  in
+  let c = conn () in
+  let session = serve ~config:Server.default (small_service ()) [ c ] in
+  let out = collect c in
+  ignore (send c (lines_text lines));
+  finish session;
+  ignore (await "output" out);
+  let events = Telemetry.Flight.events () in
+  Alcotest.(check int) "no record overwritten" (Telemetry.Flight.total ()) (List.length events);
+  let ticks, ingests, items =
+    List.fold_left
+      (fun (ticks, ingests, items) (e : Telemetry.Flight.event) ->
+        match e.kind with
+        | Telemetry.Flight.Tick ->
+          if ticks < blocks && items <> (ticks + 1) * per_block then
+            Alcotest.failf "%d items recorded before tick %d" items (ticks + 1);
+          (ticks + 1, ingests, items)
+        | Telemetry.Flight.Ingest -> (ticks, ingests + 1, items + e.a)
+        | _ -> (ticks, ingests, items))
+      (0, 0, 0) events
+  in
+  Alcotest.(check int) "a tick record per tick line, and the drain's" (blocks + 1) ticks;
+  Alcotest.(check int) "ingest records count every item" (blocks * per_block) items;
+  if ingests * 10 > blocks * per_block then
+    Alcotest.failf "%d ingest records for %d lines" ingests (blocks * per_block)
+
 (* --- chunk boundaries --- *)
 
 (* The session's whole output for [pieces], each written and flushed on
@@ -586,6 +632,8 @@ let suite =
       test_dropped_connection;
     Alcotest.test_case "admin routes answer mid-session" `Quick test_admin_routes;
     Alcotest.test_case "bad lines leave a warning and a flight record" `Quick test_bad_lines;
+    Alcotest.test_case "the flight recorder holds a whole session" `Quick
+      test_flight_holds_session;
     Alcotest.test_case "an exception in evaluation fails the session, frees its ports" `Quick
       test_exception_releases_ports;
     Alcotest.test_case "an unterminated last line is read at EOF" `Quick

@@ -11,7 +11,10 @@
    service untouched; a collapsed service still counts its entities, and
    only a ground initially(F = V) fact collapses one; an item reaching a
    bucket twice merges it once; a churning fleet leaves the service no
-   larger, and an evicted entity is forgotten until it leads again. *)
+   larger, and an evicted entity is forgotten until it leads again; a
+   revision rolls a merged bucket back to the union of both sides'
+   checkpoints, young or old, and a bucket with no checkpoint before
+   the late item back to the pristine state. *)
 
 open Rtec
 module Service = Runtime.Service
@@ -630,6 +633,113 @@ let test_evicted_entity_forgotten () =
     in
     Alcotest.(check bool) "served == batch" true (exact (Lazy.force r.intervals) = expected)
 
+(* --- revisions across merges and young buckets --- *)
+
+(* Serve [steps] — items ingested one at a time and ticks — at window
+   100, step 100 and horizon 250 over the two-rule stop description,
+   drain, and check the answer against the batch run over every item. *)
+let revise steps =
+  let svc =
+    Service.create
+      ~config:(Service.config ~window:100 ~step:100 ~horizon:250 ())
+      ~event_description:stop_ed ~knowledge:Knowledge.empty ()
+  in
+  let ok what = function Ok r -> r | Error e -> Alcotest.failf "%s failed: %s" what e in
+  let items =
+    List.concat_map
+      (function
+        | `Item e ->
+          Service.ingest svc [ Stream.Event e ];
+          [ Stream.Event e ]
+        | `Tick now ->
+          ignore (ok "tick" (Service.tick svc ~now));
+          [])
+      steps
+  in
+  let r = ok "drain" (Service.drain svc) in
+  let expected =
+    match
+      Runtime.run
+        ~config:(Runtime.config ~window:100 ~step:100 ())
+        ~event_description:stop_ed ~knowledge:Knowledge.empty ~stream:(Stream.of_items items) ()
+    with
+    | Ok (result, _) -> exact result
+    | Error e -> Alcotest.failf "batch recognition failed: %s" e
+  in
+  let served = exact (Lazy.force r.intervals) in
+  Alcotest.(check bool) "served == batch over the accepted items" true (served = expected);
+  (served, r.stats)
+
+let at name v t = `Item (event name v t)
+
+(* v2's bucket is born at 450, so its first checkpoint is the query at
+   409; [link(v1, v2)] then merges it into v1's, and the late
+   [stop_end(v1)] at 320 rolls the merged bucket back to 309, where v2
+   was still pristine. *)
+let test_revision_across_young_merge () =
+  let link = { Stream.time = 510; term = Term.app "link" [ Term.Atom "v1"; Term.Atom "v2" ] } in
+  let served, stats =
+    revise
+      [
+        at "stop_start" "v1" 10; at "stop_end" "v1" 120; at "stop_start" "v1" 230;
+        `Tick 100; `Tick 200; `Tick 300; `Tick 400;
+        at "stop_start" "v2" 450; `Tick 500;
+        at "stop_end" "v2" 505; `Item link;
+        at "stop_end" "v1" 320; `Tick 600;
+      ]
+  in
+  Alcotest.(check bool) "stopped(v1) and stopped(v2)" true
+    (List.sort compare served
+    = [
+        ("stopped(v1)", "true", [ (11, 121); (231, 321) ]);
+        ("stopped(v2)", "true", [ (451, 506) ]);
+      ]);
+  Alcotest.(check (pair int int)) "buckets, revisions" (1, 1) (stats.buckets, stats.revisions)
+
+(* Both buckets have history when [link(v1, v2)] merges them, so the
+   checkpoint the late [stop_end(v1)] at 230 rolls back to, the query at
+   209, must hold the state of both. *)
+let test_revision_after_merge_keeps_both () =
+  let link = { Stream.time = 260; term = Term.app "link" [ Term.Atom "v1"; Term.Atom "v2" ] } in
+  let served, stats =
+    revise
+      [
+        at "stop_start" "v1" 10; at "stop_start" "v2" 20;
+        `Tick 100; `Tick 200; `Tick 300;
+        at "stop_end" "v2" 250; `Item link; `Tick 400;
+        at "stop_end" "v1" 230; `Tick 500;
+        at "stop_start" "v1" 505;
+      ]
+  in
+  Alcotest.(check bool) "stopped(v1) and stopped(v2)" true
+    (List.sort compare served
+    = [
+        ("stopped(v1)", "true", [ (11, 231); (506, 507) ]);
+        ("stopped(v2)", "true", [ (21, 251) ]);
+      ]);
+  Alcotest.(check (pair int int)) "buckets, revisions" (1, 1) (stats.buckets, stats.revisions)
+
+(* v3's first event is late, so its bucket starts with a revision; its
+   first checkpoint is then the query at 309, and a second late event
+   exactly at 309 rolls the bucket back to the pristine state. The last
+   event moves the watermark past the last tick, so the drain ends on
+   the batch grid. *)
+let test_young_bucket_rolls_back_to_pristine () =
+  let served, stats =
+    revise
+      [
+        at "stop_start" "v1" 10; at "stop_end" "v1" 120; at "stop_start" "v1" 230;
+        `Tick 100; `Tick 200; `Tick 300; `Tick 400;
+        at "stop_start" "v3" 260; `Tick 500;
+        at "stop_end" "v3" 309; `Tick 600;
+        at "stop_end" "v1" 610;
+      ]
+  in
+  Alcotest.(check bool) "stopped(v3)" true
+    (List.assoc_opt "stopped(v3)" (List.map (fun (f, _, spans) -> (f, spans)) served)
+    = Some [ (261, 310) ]);
+  Alcotest.(check (pair int int)) "buckets, revisions" (2, 2) (stats.buckets, stats.revisions)
+
 let suite =
   [
     Alcotest.test_case "out-of-order replay == batch (maritime)" `Quick
@@ -662,4 +772,10 @@ let suite =
       test_churn_bounded;
     Alcotest.test_case "an evicted entity is forgotten until it leads again" `Quick
       test_evicted_entity_forgotten;
+    Alcotest.test_case "a revision crosses a merge with a young bucket" `Quick
+      test_revision_across_young_merge;
+    Alcotest.test_case "a revision after a merge restores both buckets" `Quick
+      test_revision_after_merge_keeps_both;
+    Alcotest.test_case "a young bucket rolls back to the pristine state" `Quick
+      test_young_bucket_rolls_back_to_pristine;
   ]

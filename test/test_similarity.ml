@@ -172,7 +172,7 @@ module Reference = struct
       let padded =
         Array.map (fun row -> Array.init m (fun j -> if j < k then row.(j) else 0.)) cost
       in
-      let _, total = Assignment.Kuhn_munkres.solve padded in
+      let _, total = Oracle.Kuhn_munkres.solve padded in
       total
     end
 

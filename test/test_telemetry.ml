@@ -287,7 +287,7 @@ let test_recognition_bit_identical () =
   in
   let recognise () =
     match
-      Rtec.Window.run ~window:3600 ~step:1800
+      Oracle.Window.run ~window:3600 ~step:1800
         ~event_description:Maritime.Gold.event_description ~knowledge:data.knowledge
         ~stream:data.stream ()
     with
