@@ -114,22 +114,27 @@ grep -q ' 101 active / 1899 evicted entities$' "$EXPLAIN_DIR/churn.serve.out" \
   || { echo "serve smoke: churned fleet was not evicted as expected"; exit 1; }
 
 # The same session with a snapshot per tick and the flight recorder
-# armed. The recorder writes one record per ingest burst, tick and
-# eviction, never one per line, so its 4,096-record ring holds the whole
-# session: nothing dropped, and one tick record per `% tick` snapshot
-# plus the drain's.
-dune exec bin/rtec_cli.exe -- serve "$EXPLAIN_DIR/churn.ed" -w 3600 -s 1800 \
-  --horizon 1800 --ttl 3600 --tick-every 1800 --emit ticks \
-  --flight-recorder "$EXPLAIN_DIR/churn.flight.json" < "$EXPLAIN_DIR/churn.stream" \
-  > "$EXPLAIN_DIR/churn.ticks.out"
-dune exec bin/rtec_cli.exe -- jsonlint "$EXPLAIN_DIR/churn.flight.json" \
-  || { echo "flight smoke: the churn session's flight dump is not valid JSON"; exit 1; }
-grep -q '^  "dropped": 0,$' "$EXPLAIN_DIR/churn.flight.json" \
-  || { echo "flight smoke: the churn session overflowed the flight recorder"; exit 1; }
-ticks=$(grep -c '^% tick' "$EXPLAIN_DIR/churn.ticks.out")
-tick_records=$(grep -c '"kind": "tick"' "$EXPLAIN_DIR/churn.flight.json")
-[ "$tick_records" -eq $((ticks + 1)) ] \
-  || { echo "flight smoke: $tick_records tick records for $ticks ticks and the drain"; exit 1; }
+# armed, and again over 8,000 vessels, more evictions than the ring has
+# records. The recorder writes one record per ingest burst, tick and
+# eviction pass, never one per line or per eviction, so its
+# 4,096-record ring holds the whole session: nothing dropped, and one
+# tick record per `% tick` snapshot plus the drain's.
+awk -v N=8000 'BEGIN { for (i = 0; i < N; i++) for (k = 0; k < 4; k++) { t = i*36 + k*900 + 7; printf "%d happensAt(%s(c%d), %d).\n", t, (k % 2 ? "stop_end" : "stop_start"), i, t } }' \
+  | sort -n -s -k1,1 | cut -d' ' -f2- > "$EXPLAIN_DIR/churn8k.stream"
+for churn in churn churn8k; do
+  dune exec bin/rtec_cli.exe -- serve "$EXPLAIN_DIR/churn.ed" -w 3600 -s 1800 \
+    --horizon 1800 --ttl 3600 --tick-every 1800 --emit ticks \
+    --flight-recorder "$EXPLAIN_DIR/$churn.flight.json" < "$EXPLAIN_DIR/$churn.stream" \
+    > "$EXPLAIN_DIR/$churn.ticks.out"
+  dune exec bin/rtec_cli.exe -- jsonlint "$EXPLAIN_DIR/$churn.flight.json" \
+    || { echo "flight smoke: the $churn session's flight dump is not valid JSON"; exit 1; }
+  grep -q '^  "dropped": 0,$' "$EXPLAIN_DIR/$churn.flight.json" \
+    || { echo "flight smoke: the $churn session overflowed the flight recorder"; exit 1; }
+  ticks=$(grep -c '^% tick' "$EXPLAIN_DIR/$churn.ticks.out")
+  tick_records=$(grep -c '"kind": "tick"' "$EXPLAIN_DIR/$churn.flight.json")
+  [ "$tick_records" -eq $((ticks + 1)) ] \
+    || { echo "flight smoke: $churn has $tick_records tick records for $ticks ticks and the drain"; exit 1; }
+done
 
 # Per-tick serve smoke: swap each adjacent pair of stream lines, so some
 # events arrive late and revise earlier windows, and require every tick

@@ -10,10 +10,10 @@
    evaluation then executes int comparisons and array indexing where the
    interpreter re-unified substitution maps and re-traversed the AST.
 
-   The program outlives one stream value: each event table sits in a
-   cell that its closures read on entry, and [refresh] swaps in the
-   table of a grown or trimmed stream, keeping the rows of the run of
-   events the old table already covers and interning only the rest.
+   The program outlives one stream value: its closures read each event
+   table's rows and live length on entry, and [refresh] rewrites the
+   table in place for a grown or trimmed stream, keeping the rows of the
+   run of events the table already covers and interning only the rest.
    Rules, knowledge tables, the intern table and the probe memos survive
    a refresh: intern ids are never reused, so every id baked into them
    stays valid whatever the table's stream lost.
@@ -61,12 +61,15 @@ let no_emit _ _ = ()
 
 (* --- pre-interned candidate tables --- *)
 
+(* Rows [0, c_len) are live; an event table keeps spare rows past them
+   so that a growing stream extends it in place. *)
 type candidates = {
-  c_src : Stream.event array;  (* events: the stream array the rows mirror; facts: [||] *)
-  c_times : int array;  (* events: sorted occurrence times; facts: [||] *)
-  c_ids : int array array;  (* per candidate: intern id of each argument *)
-  c_terms : Term.t array array;
-  c_nums : float array array;
+  mutable c_src : Stream.event array;  (* events: the stream array the rows mirror; facts: [||] *)
+  mutable c_len : int;
+  mutable c_times : int array;  (* events: sorted occurrence times; facts: [||] *)
+  mutable c_ids : int array array;  (* per candidate: intern id of each argument *)
+  mutable c_terms : Term.t array array;
+  mutable c_nums : float array array;
 }
 
 type compiled_rule = {
@@ -74,7 +77,7 @@ type compiled_rule = {
   cr_chain : unit -> unit;
   cr_frame : frame;
   cr_kind : Derivation.transition_kind;  (* initiation or termination *)
-  cr_first : candidates ref option;  (* table of a positive first happensAt *)
+  cr_first : candidates option;  (* table of a positive first happensAt *)
   cr_bvars : (string * bool) array;  (* bound vars in name order; true = time slot *)
   cr_bslots : int array;  (* slot per binding; [lnot slot] for time slots *)
   (* The recorder header, valid for [cr_sink] only: label id and the
@@ -88,7 +91,7 @@ type rule_code = Compiled of compiled_rule | Interpreted
 type program = {
   p_intern : Intern.t;
   p_code : (string * int, rule_code array) Hashtbl.t;  (* indicator -> code per rule *)
-  p_events : (string * int, candidates ref) Hashtbl.t;  (* cells the closures read *)
+  p_events : (string * int, candidates) Hashtbl.t;  (* tables the closures read *)
   p_compiled : int;  (* rules compiled to closures *)
   p_fallback : int;  (* transition rules left to the interpreter *)
   mutable p_sink : Derivation.sink option;  (* the last sink the recorder gave *)
@@ -126,57 +129,86 @@ let intern_args intern terms =
     terms;
   (ids, tarr, nums)
 
-(* First index with time >= t. *)
-let lower_bound times t =
-  let lo = ref 0 and hi = ref (Array.length times) in
+(* First index below [len] with time >= t. *)
+let lower_bound times len t =
+  let lo = ref 0 and hi = ref len in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     if times.(mid) < t then lo := mid + 1 else hi := mid
   done;
   !lo
 
-let no_candidates = { c_src = [||]; c_times = [||]; c_ids = [||]; c_terms = [||]; c_nums = [||] }
+let no_candidates () =
+  { c_src = [||]; c_len = 0; c_times = [||]; c_ids = [||]; c_terms = [||]; c_nums = [||] }
 
-(* The table of an indicator's event array. Rows of [prev] are kept for
-   the leading run of [events] that is physically a run of [prev]'s
-   source, found by locating [events.(0)] there (binary search on the
-   times, then physical identity among equal times): a grown stream
-   shares the events it already had from offset 0, a trimmed one
-   ([Stream.drop_before]) a suffix of them, and merges keep them in
-   order. Only the events after that run are interned. *)
-let events_table ?(prev = no_candidates) intern events =
-  let n = Array.length events and src = prev.c_src and times = prev.c_times in
+(* Points table [tb] at an indicator's event array, in place. Rows are
+   kept for the leading run of [events] that is physically a run of the
+   table's source, found by locating [events.(0)] there (binary search
+   on the times, then physical identity among equal times): a grown
+   stream shares the events it already had from offset 0, so nothing
+   moves; a trimmed one ([Stream.drop_before]) a suffix of them, which
+   is blitted to offset 0; a late insert keeps the run before it. Only
+   the events after that run are interned. Rows past the new length are
+   cleared, so the table holds nothing its stream dropped. When the rows
+   outgrow the arrays, the arrays are reallocated at twice the new
+   length: capacity stays within twice the most rows the table has
+   held. A new table is sized exactly. *)
+let fill_table tb intern events =
+  let n = Array.length events and src = tb.c_src and len = tb.c_len in
   let off =
     if n = 0 then 0
     else begin
       let e0 : Stream.event = events.(0) in
-      let i = ref (lower_bound times e0.time) in
-      while !i < Array.length src && times.(!i) = e0.time && src.(!i) != e0 do
+      let i = ref (lower_bound tb.c_times len e0.time) in
+      while !i < len && tb.c_times.(!i) = e0.time && src.(!i) != e0 do
         incr i
       done;
       !i
     end
   in
-  let keep = ref 0 and shared = min n (Array.length src - off) in
+  let keep = ref 0 and shared = min n (len - off) in
   while !keep < shared && events.(!keep) == src.(off + !keep) do
     incr keep
   done;
-  let extend rows fill =
-    let a = Array.make n fill in
-    Array.blit rows off a 0 !keep;
-    a
-  in
-  let c_times = extend prev.c_times 0 and c_ids = extend prev.c_ids [||] in
-  let c_terms = extend prev.c_terms [||] and c_nums = extend prev.c_nums [||] in
-  for j = !keep to n - 1 do
+  let keep = !keep in
+  if n > Array.length tb.c_times then begin
+    let cap = if len = 0 then n else 2 * n in
+    let extend rows fill =
+      let a = Array.make cap fill in
+      Array.blit rows off a 0 keep;
+      a
+    in
+    tb.c_times <- extend tb.c_times 0;
+    tb.c_ids <- extend tb.c_ids [||];
+    tb.c_terms <- extend tb.c_terms [||];
+    tb.c_nums <- extend tb.c_nums [||]
+  end
+  else if off > 0 && keep > 0 then begin
+    Array.blit tb.c_times off tb.c_times 0 keep;
+    Array.blit tb.c_ids off tb.c_ids 0 keep;
+    Array.blit tb.c_terms off tb.c_terms 0 keep;
+    Array.blit tb.c_nums off tb.c_nums 0 keep
+  end;
+  for j = keep to n - 1 do
     let e = events.(j) in
-    c_times.(j) <- e.time;
+    tb.c_times.(j) <- e.time;
     let ids, tarr, nums = intern_args intern (Term.args e.term) in
-    c_ids.(j) <- ids;
-    c_terms.(j) <- tarr;
-    c_nums.(j) <- nums
+    tb.c_ids.(j) <- ids;
+    tb.c_terms.(j) <- tarr;
+    tb.c_nums.(j) <- nums
   done;
-  { c_src = events; c_times; c_ids; c_terms; c_nums }
+  for j = n to len - 1 do
+    tb.c_ids.(j) <- [||];
+    tb.c_terms.(j) <- [||];
+    tb.c_nums.(j) <- [||]
+  done;
+  tb.c_src <- events;
+  tb.c_len <- n
+
+let events_table intern events =
+  let tb = no_candidates () in
+  fill_table tb intern events;
+  tb
 
 (* A knowledge indicator's facts, in the order [Knowledge.solve] scans
    them, with per-argument row indexes built on first use. *)
@@ -191,7 +223,7 @@ type facts = {
    same indicator — across all rules — shares one table, so compiling 70
    rules scans the stream once per indicator, not once per literal. *)
 type tables = {
-  t_events : (string * int, candidates ref) Hashtbl.t;
+  t_events : (string * int, candidates) Hashtbl.t;
   t_facts : (string * int, facts) Hashtbl.t;
 }
 
@@ -208,7 +240,7 @@ let facts_table intern knowledge ind =
       c_nums.(j) <- nums)
     facts;
   {
-    f_rows = { no_candidates with c_ids; c_terms; c_nums };
+    f_rows = { (no_candidates ()) with c_len = n; c_ids; c_terms; c_nums };
     f_all = Array.init n Fun.id;
     f_keys = Hashtbl.create 2;
   }
@@ -552,10 +584,11 @@ let compile_rule intern ~tables ~stream ~knowledge (r : Ast.rule) ~kind ~fluent 
     | Term.Compound ("happensAt", [ (Term.Var _ as _ev); _ ]) -> raise Fallback
     | Term.Compound ("happensAt", [ ev; tm ]) ->
       let ind = Term.indicator ev in
-      (* Read on every entry, never captured: [refresh] replaces it. *)
-      let cell =
+      (* Its fields are read on every entry, never captured: [refresh]
+         rewrites them. *)
+      let table =
         memo tables.t_events ind (fun ind ->
-            ref (events_table intern (Stream.indexed stream ~functor_:ind)))
+            events_table intern (Stream.indexed stream ~functor_:ind))
       in
       let specs, temp_args = compile_args ~negated:(not positive) (Term.args ev) in
       let tspec, temp_time = compile_time_arg ~negated:(not positive) tm in
@@ -570,12 +603,11 @@ let compile_rule intern ~tables ~stream ~knowledge (r : Ast.rule) ~kind ~fluent 
       in
       if positive then (
         fun k () ->
-          let table = !cell in
-          let times = table.c_times in
+          let times = table.c_times and len = table.c_len in
           let tlo, thi = bounds () in
           if tlo <= thi then begin
-            let i = ref (lower_bound times tlo) in
-            while !i < Array.length times && times.(!i) <= thi do
+            let i = ref (lower_bound times len tlo) in
+            while !i < len && times.(!i) <= thi do
               let j = !i in
               if apply_specs frame specs table.c_ids.(j) table.c_terms.(j) table.c_nums.(j)
               then begin
@@ -591,13 +623,12 @@ let compile_rule intern ~tables ~stream ~knowledge (r : Ast.rule) ~kind ~fluent 
           end)
       else
         fun k () ->
-          let table = !cell in
-          let times = table.c_times in
+          let times = table.c_times and len = table.c_len in
           let tlo, thi = bounds () in
           let found = ref false in
           if tlo <= thi then begin
-            let i = ref (lower_bound times tlo) in
-            while (not !found) && !i < Array.length times && times.(!i) <= thi do
+            let i = ref (lower_bound times len tlo) in
+            while (not !found) && !i < len && times.(!i) <= thi do
               let j = !i in
               if apply_specs frame specs table.c_ids.(j) table.c_terms.(j) table.c_nums.(j)
               then found := true;
@@ -758,8 +789,8 @@ let compile_rule intern ~tables ~stream ~knowledge (r : Ast.rule) ~kind ~fluent 
 
 let compile ~analysis ~knowledge ~stream () =
   let intern = Intern.create () in
-  let code = Hashtbl.create 64 in
-  let tables = { t_events = Hashtbl.create 32; t_facts = Hashtbl.create 32 } in
+  let code = Hashtbl.create 16 in
+  let tables = { t_events = Hashtbl.create 8; t_facts = Hashtbl.create 8 } in
   let compiled = ref 0 and fallback = ref 0 in
   let compile_one r ~kind ~fluent ~value ~time =
     match compile_rule intern ~tables ~stream ~knowledge r ~kind ~fluent ~value ~time with
@@ -796,9 +827,9 @@ let compile ~analysis ~knowledge ~stream () =
 
 let refresh p stream =
   Hashtbl.iter
-    (fun ind cell ->
+    (fun ind table ->
       let events = Stream.indexed stream ~functor_:ind in
-      if events != !cell.c_src then cell := events_table ~prev:!cell p.p_intern events)
+      if events != table.c_src then fill_table table p.p_intern events)
     p.p_events
 
 let kind cr = cr.cr_kind
@@ -809,10 +840,10 @@ let kind cr = cr.cr_kind
 let may_fire cr ~from ~until =
   match cr.cr_first with
   | None -> true
-  | Some cell ->
-    let times = !cell.c_times in
-    let i = lower_bound times from in
-    i < Array.length times && times.(i) <= until
+  | Some table ->
+    let times = table.c_times and len = table.c_len in
+    let i = lower_bound times len from in
+    i < len && times.(i) <= until
 
 let sink p =
   let sk = Derivation.sink ?reuse:p.p_sink ~intern:p.p_intern () in
@@ -846,6 +877,13 @@ let recorded cr sk ~label emit =
     done;
     Derivation.sink_transition_ids sk ~kind:cr.cr_kind ~rule ~fvp:id ~time:t ~binds
 
+(* Releases the per-window callbacks (they close over the window's
+   cache) so a long-lived program does not retain it. *)
+let release st =
+  st.r_probe <- no_probe;
+  st.r_miss <- no_miss;
+  st.r_emit <- no_emit
+
 let run_rule cr ~from ~until ~probe ~miss ~emit =
   let st = cr.cr_state in
   st.r_from <- from;
@@ -853,11 +891,9 @@ let run_rule cr ~from ~until ~probe ~miss ~emit =
   st.r_probe <- probe;
   st.r_miss <- miss;
   st.r_emit <- emit;
-  Fun.protect
-    ~finally:(fun () ->
-      (* Release the per-window callbacks (they close over the window's
-         cache) so a long-lived program does not retain it. *)
-      st.r_probe <- no_probe;
-      st.r_miss <- no_miss;
-      st.r_emit <- no_emit)
-    cr.cr_chain
+  match cr.cr_chain () with
+  | () -> release st
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    release st;
+    Printexc.raise_with_backtrace e bt

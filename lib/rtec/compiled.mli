@@ -4,8 +4,10 @@
     [compile] specialises every [initiatedAt]/[terminatedAt] rule of an
     event description against a stream and knowledge base: candidate
     events and facts are pre-interned into flat per-indicator tables,
-    and {!refresh} moves the event tables to a grown or trimmed stream
-    without recompiling. Pattern matching becomes integer comparison on
+    and {!refresh} rewrites the event tables in place for a grown or
+    trimmed stream without recompiling. A program is sized by its
+    content: its intern, code and event tables start small and double
+    as far as the stream needs. Pattern matching becomes integer comparison on
     {!Intern} ids, numeric guards read unboxed floats, and [holdsAt]
     probes hit the int-keyed engine cache through a callback. A compiled chain
     explores exactly the search tree the interpreter would (same
@@ -25,7 +27,7 @@
     event/time terms) are marked {!Interpreted} and the engine falls
     back to the interpreter for those rules only.
 
-    A program's closure frames and table cells are mutable and
+    A program's closure frames and event tables are mutable and
     unsynchronised: a program belongs to one domain. Each
     [Window.Session] compiles its own. *)
 
@@ -42,13 +44,17 @@ val compile :
     uncompilable rules are recorded as {!Interpreted}. *)
 
 val refresh : program -> Stream.t -> unit
-(** Point the program's event tables at [stream]. An indicator whose
-    event array is physically the one its table was built from keeps the
+(** Point the program's event tables at [stream], in place. An indicator
+    whose event array is physically the one its table mirrors keeps the
     table; otherwise the new array's first event is looked up in the old
     one, the rows of the run the two arrays physically share from there
-    are kept — from offset 0 for a grown stream, from inside the old
-    array for a trimmed one ([Stream.drop_before]) — and only the events
-    after that run are interned. Rules, closures, knowledge tables, the
+    are kept — where they are for a grown stream, blitted to offset 0
+    for a trimmed one ([Stream.drop_before]) — and only the events after
+    that run are interned and written. Rows past the new length are
+    cleared. A table that outgrows its arrays reallocates them at twice
+    its new length, so an append costs amortised O(1) rows and a table's
+    capacity stays within twice the most rows it has held since
+    {!compile}. Rules, closures, knowledge tables, the
     intern table and the probe memos are untouched, so evaluation against
     the refreshed program equals evaluation against a fresh {!compile} of
     [stream]. The intern table keeps every term it ever held: to bound it

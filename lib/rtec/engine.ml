@@ -30,7 +30,9 @@ module Cache = struct
 
   let create ?intern () =
     let intern = match intern with Some i -> i | None -> Intern.create () in
-    { intern; spans = Hashtbl.create 256; by_indicator = Hashtbl.create 64 }
+    (* [to_result] folds [by_indicator], so its initial size fixes the
+       result order; the span table grows as far as the query needs. *)
+    { intern; spans = Hashtbl.create 16; by_indicator = Hashtbl.create 64 }
 
   let intern t = t.intern
 
@@ -78,9 +80,10 @@ type env = {
   cache : Cache.t;
   from : int;
   until : int;
-  universe : (string * int, fvp list ref) Hashtbl.t;
+  universe : (string * int, fvp list ref) Hashtbl.t Lazy.t;
       (* extra SD grounding candidates (FVPs recognised in earlier windows),
-         indexed by fluent indicator *)
+         indexed by fluent indicator when a holdsFor body first
+         enumerates a fluent schema *)
 }
 
 (* --- arithmetic and comparisons --- *)
@@ -251,7 +254,7 @@ module Imap = Map.Make (String)
    the values of a multi-valued fluent still succeeds when some value never
    held (RTEC's semantics). *)
 let universe_fvps env ind =
-  match Hashtbl.find_opt env.universe ind with None -> [] | Some r -> !r
+  match Hashtbl.find_opt (Lazy.force env.universe) ind with None -> [] | Some r -> !r
 
 let holds_for_solutions env subst (fluent, value) =
   let fluent = Subst.apply subst fluent and value = Subst.apply subst value in
@@ -510,6 +513,16 @@ let ivec_append dst (src : ivec) =
 
 let ivec_array v = Array.sub v.buf 0 v.len
 
+(* Rule [i]'s code; a rule past the table is interpreted. *)
+let rule_code codes i = if i < Array.length codes then codes.(i) else Compiled.Interpreted
+
+(* Counts one evaluation of a compiled rule, and a rule that cannot fire
+   in the window as skipped. *)
+let count_compiled ~fires =
+  Telemetry.Metrics.incr m_rule_evals;
+  Telemetry.Metrics.incr m_compiled_hit;
+  if not fires then Telemetry.Metrics.incr m_compiled_skipped
+
 (* Compiled counterpart of [evaluate_simple]: transition points accrue
    into int-keyed tables of flat buffers, compiled rules run their
    closure chains, and rules the compiler could not handle fall back to
@@ -521,14 +534,13 @@ let ivec_array v = Array.sub v.buf 0 v.len
    [Derivation.sink] re-encodes each compiled emission as a compact
    record (rule label, fvp, time and the chain's slot bindings) — the
    same record sequence, in the same order, as the interpreted path
-   produces. *)
-let evaluate_simple_compiled env (prog : Compiled.program) ~ind ~carry
+   produces. [rules] are the indicator's rules from index [first] on. *)
+let evaluate_transitions env (prog : Compiled.program) codes ~ind ~carry ~first
     (rules : Ast.rule list) =
   let intern = Cache.intern env.cache in
   let sink = Compiled.sink prog in
-  let codes = Compiled.rule_codes prog ~ind in
-  let inits : (int, ivec) Hashtbl.t = Hashtbl.create 32 in
-  let terms : (int, ivec) Hashtbl.t = Hashtbl.create 32 in
+  let inits : (int, ivec) Hashtbl.t = Hashtbl.create 8 in
+  let terms : (int, ivec) Hashtbl.t = Hashtbl.create 8 in
   let term_patterns = ref [] in
   let record tbl id t =
     match Hashtbl.find_opt tbl id with
@@ -551,9 +563,9 @@ let evaluate_simple_compiled env (prog : Compiled.program) ~ind ~carry
   let emit_init id t = record inits id t in
   let emit_term id t = record terms id t in
   let run_compiled i r cr =
-    Telemetry.Metrics.incr m_rule_evals;
-    Telemetry.Metrics.incr m_compiled_hit;
-    if Compiled.may_fire cr ~from:env.from ~until:env.until then begin
+    let fires = Compiled.may_fire cr ~from:env.from ~until:env.until in
+    count_compiled ~fires;
+    if fires then begin
       let emit =
         match Compiled.kind cr with Derivation.Init -> emit_init | Term -> emit_term
       in
@@ -564,11 +576,11 @@ let evaluate_simple_compiled env (prog : Compiled.program) ~ind ~carry
       in
       Compiled.run_rule cr ~from:env.from ~until:env.until ~probe ~miss ~emit
     end
-    else Telemetry.Metrics.incr m_compiled_skipped
   in
   List.iteri
-    (fun i r ->
-      match if i < Array.length codes then codes.(i) else Compiled.Interpreted with
+    (fun k r ->
+      let i = first + k in
+      match rule_code codes i with
       | Compiled.Compiled cr -> run_compiled i r cr
       | Compiled.Interpreted -> (
         match Ast.kind_of_rule r with
@@ -596,47 +608,76 @@ let evaluate_simple_compiled env (prog : Compiled.program) ~ind ~carry
       if Derivation.recording () then
         Derivation.record_carry ~origin ~fluent:f ~value:v ~time:(env.from - 1))
     carry;
-  let all = Hashtbl.create 32 in
-  Hashtbl.iter (fun id _ -> Hashtbl.replace all id ()) inits;
-  Hashtbl.iter (fun id _ -> Hashtbl.replace all id ()) terms;
+  (* Only an fvp with an initiation can hold, so only those are
+     assembled, in fvp order. *)
   let fvps =
-    Hashtbl.fold (fun id () acc -> (Intern.fvp_terms intern id, id) :: acc) all []
-    |> List.sort (fun ((a : fvp), _) (b, _) -> compare_fvp a b)
+    Hashtbl.fold (fun id starts acc -> (Intern.fvp_terms intern id, id, starts) :: acc) inits []
+  in
+  let fvps =
+    match fvps with
+    | [] | [ _ ] -> fvps
+    | _ -> List.sort (fun ((a : fvp), _, _) (b, _, _) -> compare_fvp a b) fvps
+  in
+  (* The initiation of a different value of the same fluent terminates
+     the current value: each fvp's initiations are grouped by fluent
+     once, when there are two fvps or more. *)
+  let by_fluent =
+    match fvps with
+    | [] | [ _ ] -> None
+    | _ ->
+      let groups = Hashtbl.create 8 in
+      Hashtbl.iter
+        (fun id starts ->
+          let fid = Intern.fvp_fluent_id intern id in
+          let members = Option.value ~default:[] (Hashtbl.find_opt groups fid) in
+          Hashtbl.replace groups fid ((id, starts) :: members))
+        inits;
+      Some groups
   in
   List.iter
-    (fun ((fluent, value), id) ->
-      match Hashtbl.find_opt inits id with
-      | None -> ()
-      | Some starts ->
-        let stop_buf = ivec_make () in
-        (match Hashtbl.find_opt terms id with
-        | Some v -> ivec_append stop_buf v
-        | None -> ());
-        List.iter
-          (fun (((pf, pv), t), plabel) ->
-            match Unify.unify pf fluent with
-            | Some s when Option.is_some (Unify.unify ~subst:s pv value) ->
-              if Derivation.recording () then
-                Derivation.record_pattern ~rule:plabel ~pattern:(Term.eq pf pv) ~fluent
-                  ~value ~time:t;
-              ivec_push stop_buf t
-            | _ -> ())
-          !term_patterns;
-        (* The initiation of a different value of the same fluent
-           terminates the current value. *)
-        let fid = Intern.fvp_fluent_id intern id in
-        Hashtbl.iter
-          (fun id' v ->
-            if id' <> id && Intern.fvp_fluent_id intern id' = fid then
-              ivec_append stop_buf v)
-          inits;
-        let spans =
-          Interval.from_point_arrays ~starts:(ivec_array starts)
-            ~stops:(ivec_array stop_buf)
-        in
-        if not (Interval.is_empty spans) then
-          Cache.add_id env.cache ~ind:(Term.indicator fluent) id spans)
+    (fun ((fluent, value), id, starts) ->
+      let stop_buf = ivec_make () in
+      (match Hashtbl.find_opt terms id with
+      | Some v -> ivec_append stop_buf v
+      | None -> ());
+      List.iter
+        (fun (((pf, pv), t), plabel) ->
+          match Unify.unify pf fluent with
+          | Some s when Option.is_some (Unify.unify ~subst:s pv value) ->
+            if Derivation.recording () then
+              Derivation.record_pattern ~rule:plabel ~pattern:(Term.eq pf pv) ~fluent ~value
+                ~time:t;
+            ivec_push stop_buf t
+          | _ -> ())
+        !term_patterns;
+      Option.iter
+        (fun groups ->
+          List.iter
+            (fun (id', v) -> if id' <> id then ivec_append stop_buf v)
+            (Hashtbl.find groups (Intern.fvp_fluent_id intern id)))
+        by_fluent;
+      let spans =
+        Interval.from_point_arrays ~starts:(ivec_array starts) ~stops:(ivec_array stop_buf)
+      in
+      if not (Interval.is_empty spans) then
+        Cache.add_id env.cache ~ind:(Term.indicator fluent) id spans)
     fvps
+
+(* Counts and passes over the leading compiled rules that cannot fire,
+   and assembles the transitions from the first rule that may; when no
+   rule can fire and nothing carries, nothing is derived and no table is
+   made. *)
+let rec evaluate_from env prog codes ~ind ~carry i = function
+  | _ :: rest as rules -> (
+    match rule_code codes i with
+    | Compiled.Compiled cr when not (Compiled.may_fire cr ~from:env.from ~until:env.until) ->
+      count_compiled ~fires:false;
+      evaluate_from env prog codes ~ind ~carry (i + 1) rest
+    | _ -> evaluate_transitions env prog codes ~ind ~carry ~first:i rules)
+  | [] -> if carry <> [] then evaluate_transitions env prog codes ~ind ~carry ~first:i []
+
+let evaluate_simple_compiled env (prog : Compiled.program) ~ind ~carry (rules : Ast.rule list) =
+  evaluate_from env prog (Compiled.rule_codes prog ~ind) ~ind ~carry 0 rules
 
 let evaluate_sd env ~ind (rules : Ast.rule list) =
   let results = ref FvpMap.empty in
@@ -697,7 +738,8 @@ let initial_fvps event_description =
    description keeps its [Error] here and fails at its first query. *)
 type plan = {
   deps : Dependency.t;
-  order : ((string * int) list, string) Stdlib.result;
+  steps : (Dependency.info list, string) Stdlib.result;
+      (* the defined indicators in evaluation order, with their rules *)
   initially : fvp list;
   window_insensitive : bool;
 }
@@ -706,7 +748,8 @@ let plan event_description =
   let deps = Dependency.analyse event_description in
   {
     deps;
-    order = Dependency.evaluation_order deps;
+    steps =
+      Result.map (List.filter_map (Dependency.info deps)) (Dependency.evaluation_order deps);
     initially = initial_fvps event_description;
     window_insensitive = Dependency.window_insensitive event_description;
   }
@@ -720,16 +763,16 @@ let window_insensitive p = p.window_insensitive
 type prepared = {
   p_env : env;
   p_deps : Dependency.t;
-  p_order : (string * int) list;
+  p_steps : Dependency.info list;
   p_carry : (fvp * string) list;  (* fvp, origin ("carry" | "initially") *)
   p_compiled : Compiled.program option;
 }
 
 let prepare_run ?(carry = []) ?(universe = []) ?input_from ?origin ?compiled ~plan
     ~knowledge ~stream ~from ~until () =
-  match plan.order with
+  match plan.steps with
   | Error e -> Result.Error e
-  | Ok order ->
+  | Ok steps ->
     let origin = Option.value ~default:(fst (Stream.extent stream)) origin in
     (* When evaluating only the step delta of a larger window, [input_from]
        is the true window start: input fluents are clamped against it, not
@@ -758,48 +801,50 @@ let prepare_run ?(carry = []) ?(universe = []) ?input_from ?origin ?compiled ~pl
               ~spans:(Interval.to_list spans)
         end)
       (Stream.input_fluents stream);
-    let universe_tbl = Hashtbl.create 64 in
-    List.iter
-      (fun ((f, _) as fv) ->
-        let ind = Term.indicator f in
-        match Hashtbl.find_opt universe_tbl ind with
-        | None -> Hashtbl.replace universe_tbl ind (ref [ fv ])
-        | Some r -> r := fv :: !r)
-      universe;
-    let env = { stream; knowledge; cache; from; until; universe = universe_tbl } in
-    Ok { p_env = env; p_deps = plan.deps; p_order = order; p_carry = carry; p_compiled = compiled }
+    let universe =
+      lazy
+        (let tbl = Hashtbl.create 16 in
+         List.iter
+           (fun ((f, _) as fv) ->
+             let ind = Term.indicator f in
+             match Hashtbl.find_opt tbl ind with
+             | None -> Hashtbl.replace tbl ind (ref [ fv ])
+             | Some r -> r := fv :: !r)
+           universe;
+         tbl)
+    in
+    let env = { stream; knowledge; cache; from; until; universe } in
+    Ok { p_env = env; p_deps = plan.deps; p_steps = steps; p_carry = carry; p_compiled = compiled }
 
 let evaluate_prepared p =
   let rec evaluate = function
     | [] -> Ok ()
-    | ind :: rest -> (
-      match Dependency.info p.p_deps ind with
-      | None -> evaluate rest
-      | Some info -> (
-        match info.fluent_class with
-        | Dependency.Mixed ->
-          Result.Error
-            (Printf.sprintf "fluent %s/%d mixes simple and statically determined rules"
-               (fst ind) (snd ind))
-        | Dependency.Simple ->
-          let carry_here =
-            List.filter (fun ((f, _), _) -> Term.indicator f = ind) p.p_carry
-          in
-          (* Compiled chains run whether or not the recorder is on: the
-             emission sink produces the same compact records as the
-             interpreted path, so provenance no longer forces the
-             interpreter. *)
-          (match p.p_compiled with
-          | Some prog ->
-            evaluate_simple_compiled p.p_env prog ~ind ~carry:carry_here info.rules
-          | None -> evaluate_simple p.p_env ~ind ~carry:carry_here info.rules);
-          evaluate rest
-        | Dependency.Statically_determined -> (
-          match evaluate_sd p.p_env ~ind info.rules with
-          | Result.Error e -> Result.Error e
-          | Ok _skipped -> evaluate rest)))
+    | (info : Dependency.info) :: rest -> (
+      let ind = info.indicator in
+      match info.fluent_class with
+      | Dependency.Mixed ->
+        Result.Error
+          (Printf.sprintf "fluent %s/%d mixes simple and statically determined rules" (fst ind)
+             (snd ind))
+      | Dependency.Simple ->
+        let carry_here =
+          if p.p_carry = [] then []
+          else List.filter (fun ((f, _), _) -> Term.indicator f = ind) p.p_carry
+        in
+        (* Compiled chains run whether or not the recorder is on: the
+           emission sink produces the same compact records as the
+           interpreted path, so provenance no longer forces the
+           interpreter. *)
+        (match p.p_compiled with
+        | Some prog -> evaluate_simple_compiled p.p_env prog ~ind ~carry:carry_here info.rules
+        | None -> evaluate_simple p.p_env ~ind ~carry:carry_here info.rules);
+        evaluate rest
+      | Dependency.Statically_determined -> (
+        match evaluate_sd p.p_env ~ind info.rules with
+        | Result.Error e -> Result.Error e
+        | Ok _skipped -> evaluate rest))
   in
-  evaluate p.p_order
+  evaluate p.p_steps
 
 let run ?carry ?universe ?input_from ?origin ?compiled ~plan ~knowledge ~stream ~from ~until
     () =

@@ -28,15 +28,18 @@ type t = {
 
 let dummy = Term.Atom ""
 
+(* Small to start with: a program is compiled per entity bucket, and
+   most buckets hold a handful of terms. The arrays double and the
+   tables resize as far as a bucket needs. *)
 let create () =
   {
-    term_ids = TermTbl.create 256;
-    terms = Array.make 256 dummy;
+    term_ids = TermTbl.create 16;
+    terms = Array.make 16 dummy;
     n_terms = 0;
-    fvp_ids = Hashtbl.create 128;
-    fvp_fluent = Array.make 128 (-1);
-    fvp_value = Array.make 128 (-1);
-    fvp_pairs = Array.make 128 (dummy, dummy);
+    fvp_ids = Hashtbl.create 16;
+    fvp_fluent = Array.make 16 (-1);
+    fvp_value = Array.make 16 (-1);
+    fvp_pairs = Array.make 16 (dummy, dummy);
     n_fvps = 0;
   }
 

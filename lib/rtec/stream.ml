@@ -7,7 +7,10 @@ type item =
 module M = Map.Make (struct
   type t = string * int
 
-  let compare = compare
+  (* The order polymorphic compare gives, without its generic walk. *)
+  let compare (n1, a1) (n2, a2) =
+    let c = String.compare n1 n2 in
+    if c <> 0 then c else Int.compare a1 a2
 end)
 
 (* The queryable form: every index materialised. [evs] and [times] are
@@ -109,18 +112,19 @@ let merge_packed bp tail =
   if Array.length tail = 0 then bp
   else begin
     let evs = merge_sorted bp.evs tail in
-    let tail_groups = Hashtbl.create 8 in
-    Array.iter
-      (fun e ->
-        let key = Term.indicator e.term in
-        match Hashtbl.find_opt tail_groups key with
-        | Some r -> r := e :: !r
-        | None -> Hashtbl.replace tail_groups key (ref [ e ]))
-      tail;
+    (* The tail's events by indicator, newest first. *)
+    let tail_groups =
+      Array.fold_left
+        (fun acc e ->
+          M.update (Term.indicator e.term)
+            (fun r -> Some (e :: Option.value r ~default:[]))
+            acc)
+        M.empty tail
+    in
     let by_indicator =
-      Hashtbl.fold
+      M.fold
         (fun key r acc ->
-          let fresh = Array.of_list (List.rev !r) in
+          let fresh = Array.of_list (List.rev r) in
           M.update key
             (function
               | None -> Some fresh

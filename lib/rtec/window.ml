@@ -49,9 +49,11 @@ module Session = struct
   let delta_ok p = p.delta_ok
 
   (* The evaluation state proper, immutable so that a checkpoint is the
-     record itself. *)
+     record itself. Each fvp's spans are kept newest first, the reverse
+     of [Interval.t]'s order: a query can only change the spans that
+     reach its evaluation start, and those are a prefix of that list. *)
   type state = {
-    accumulated : Interval.t FvpMap.t;
+    accumulated : Interval.span list FvpMap.t;
     prev_q : int option;
     queries : int;
     events_processed : int;
@@ -101,12 +103,31 @@ module Session = struct
         t.compiled_terms <- Intern.term_count (Compiled.intern prog);
         Some prog
 
-  let record accumulated (fv, spans) =
+  (* Folds one fvp's result, clamped to start at or after [from], into
+     its newest-first spans. [Interval.union] merges two spans only when
+     one starts at or before the other's stop, so a span that stops
+     before [from] cannot change: only the leading spans that stop at or
+     after it are taken off, unioned with the result and put back in
+     front. The older spans are shared, not copied. *)
+  let record ~from accumulated (fv, spans) =
     if Interval.is_empty spans then accumulated
     else
       FvpMap.update fv
-        (fun o -> Some (Interval.union spans (Option.value ~default:Interval.empty o)))
+        (fun o ->
+          let rec split touched = function
+            | (s : Interval.span) :: older when s.stop >= from -> split (s :: touched) older
+            | older -> (touched, older)
+          in
+          let touched, older = split [] (Option.value ~default:[] o) in
+          Some (List.rev_append (Interval.union touched spans) older))
         accumulated
+
+  (* [Interval.mem] over newest-first spans: the first span that starts
+     at or before [t] is the only one that can hold it. In delta
+     evaluation that is the newest span. *)
+  let rec holds_at t = function
+    | (s : Interval.span) :: older -> if s.start <= t then t < s.stop else holds_at t older
+    | [] -> false
 
   let process p t ~stream ~lo q =
     let compiled = program p t stream in
@@ -125,7 +146,7 @@ module Session = struct
     let carry, universe =
       FvpMap.fold
         (fun fv spans (carry, universe) ->
-          ((if Interval.mem eval_from spans then fv :: carry else carry), fv :: universe))
+          ((if holds_at eval_from spans then fv :: carry else carry), fv :: universe))
         st.accumulated ([], [])
     in
     Telemetry.Metrics.incr m_queries;
@@ -138,14 +159,16 @@ module Session = struct
       Engine.run ~carry ~universe ~input_from:window_start ~origin:lo ?compiled ~plan:p.plan
         ~knowledge:p.knowledge ~stream ~from:eval_from ~until:q ()
     in
-    Telemetry.Trace.finish sp
-      ~args:
-        [
-          ("q", Telemetry.Trace.Int q);
-          ("delta", Telemetry.Trace.Bool delta_run);
-          ("events", Telemetry.Trace.Int window_events);
-          ("carry", Telemetry.Trace.Int (List.length carry));
-        ];
+    (* The span's arguments are built only when it is recorded. *)
+    if sp <> Telemetry.Trace.null_span then
+      Telemetry.Trace.finish sp
+        ~args:
+          [
+            ("q", Telemetry.Trace.Int q);
+            ("delta", Telemetry.Trace.Bool delta_run);
+            ("events", Telemetry.Trace.Int window_events);
+            ("carry", Telemetry.Trace.Int (List.length carry));
+          ];
     match outcome with
     | Result.Error e -> Result.Error e
     | Ok result ->
@@ -156,7 +179,8 @@ module Session = struct
         {
           accumulated =
             List.fold_left
-              (fun acc (fv, spans) -> record acc (fv, Interval.clamp eval_from horizon spans))
+              (fun acc (fv, spans) ->
+                record ~from:eval_from acc (fv, Interval.clamp eval_from horizon spans))
               st.accumulated result;
           prev_q = Some q;
           queries = st.queries + 1;
@@ -170,7 +194,9 @@ module Session = struct
   let merge a b =
     {
       accumulated =
-        FvpMap.union (fun _ x y -> Some (Interval.union x y)) a.accumulated b.accumulated;
+        FvpMap.union
+          (fun _ x y -> Some (List.rev (Interval.union (List.rev x) (List.rev y))))
+          a.accumulated b.accumulated;
       prev_q =
         (match (a.prev_q, b.prev_q) with
         | None, x | x, None -> x
@@ -186,11 +212,13 @@ module Session = struct
      exactly what one session over the union stream would hold. *)
   let absorb t other = t.state <- merge t.state other.state
 
-  let result t = FvpMap.fold (fun fv spans acc -> (fv, spans) :: acc) t.state.accumulated []
+  let result t =
+    FvpMap.fold (fun fv spans acc -> (fv, List.rev spans) :: acc) t.state.accumulated []
 
   (* O(1) capture: the sequence ranges over the persistent accumulated
      map as of this call, unaffected by later [process]/[restore] — what
      the streaming service's lazy per-tick results are built from. *)
-  let result_seq t = FvpMap.to_seq t.state.accumulated
+  let result_seq t =
+    Seq.map (fun (fv, spans) -> (fv, List.rev spans)) (FvpMap.to_seq t.state.accumulated)
   let stats t : stats = { queries = t.state.queries; events_processed = t.state.events_processed }
 end

@@ -50,7 +50,13 @@ module Session : sig
   (** An immutable evaluation state, which is its own checkpoint (O(1) to
       take: the accumulated map is persistent). The streaming service
       checkpoints after each query so a late event can roll the session
-      back and replay the overlapping windows. *)
+      back and replay the overlapping windows. Each fvp's spans are kept
+      newest first: a query takes off only the leading spans that stop
+      at or after its evaluation start, unions them with its result and
+      shares the older spans; its carry test reads spans from the newest
+      down to the first that starts at or before the evaluation start
+      (one span in delta evaluation). So a query's cost follows its
+      delta, not the session's history. *)
 
   val create : unit -> t
   (** A session in the {!pristine} state. The compiled program is built
@@ -89,7 +95,8 @@ module Session : sig
 
   val merge : state -> state -> state
   (** Pointwise union of two states taken at the same query time over
-      disjoint entity components. *)
+      disjoint entity components (it reverses each fvp's spans to union
+      them). *)
 
   val absorb : t -> t -> unit
   (** [absorb t other] unions [other]'s evaluation state into [t]: the
@@ -99,12 +106,14 @@ module Session : sig
       pristine [other] changes nothing. *)
 
   val result : t -> Engine.result
-  (** The accumulated intervals, in the canonical fluent-value order. *)
+  (** The accumulated intervals, in the canonical fluent-value order;
+      each span list is reversed into [Interval.t]'s order. *)
 
   val result_seq : t -> (Engine.fvp * Interval.t) Seq.t
   (** The accumulated intervals as a persistent sequence captured in
       O(1): it ranges over the state as of the call and is unaffected by
-      later {!process}/{!restore}. The streaming service builds its lazy
+      later {!process}/{!restore}; each span list is reversed as the
+      sequence reaches it. The streaming service builds its lazy
       per-tick results from this, so ticks whose result is discarded
       never pay the merge. *)
 

@@ -400,17 +400,17 @@ let resolve svc extent =
 
 (* Roll an out-of-date bucket back to its newest checkpoint strictly
    before the earliest late item [t], or to the pristine state if it has
-   none, and return the query times to replay: every globally processed
-   query at or after [t] (the bucket's checkpoints cover exactly the
-   processed queries before [t], and a bucket created after a query was
-   processed was pristine then, so replaying it on the restored state
-   derives what the batch shard would). The acceptance bound guarantees
-   a rollback target is retained: an accepted item is newer than
-   [prev_q - horizon], and finalisation keeps a checkpoint at least that
-   old. *)
+   none, and return [t] with the query times to replay: every globally
+   processed query at or after [t] (the bucket's checkpoints cover
+   exactly the processed queries before [t], and a bucket created after
+   a query was processed was pristine then, so replaying it on the
+   restored state derives what the batch shard would). The acceptance
+   bound guarantees a rollback target is retained: an accepted item is
+   newer than [prev_q - horizon], and finalisation keeps a checkpoint at
+   least that old. *)
 let plan_revision svc b =
   match b.revise_from with
-  | None -> []
+  | None -> None
   | Some t ->
     b.revise_from <- None;
     svc.n_revisions <- svc.n_revisions + 1;
@@ -419,9 +419,7 @@ let plan_revision svc b =
     b.checkpoints <- before b.checkpoints;
     Session.restore b.session
       (match b.checkpoints with (_, cp) :: _ -> cp | [] -> Session.pristine);
-    let replays = List.filter (fun q -> q >= t) (List.rev svc.processed) in
-    Telemetry.Flight.record Revision ~a:b.id ~b:t ~c:(List.length replays) ();
-    replays
+    Some (t, List.filter (fun q -> q >= t) (List.rev svc.processed))
 
 let run_bucket svc ~resolved:(params, w, s) ~lo (b, worklist) =
   Telemetry.Trace.with_span "window.run"
@@ -467,9 +465,7 @@ let retire svc b =
         | [] -> TermTbl.remove svc.mentions st
         | keys -> TermTbl.replace svc.mentions st keys))
     b.mentioned;
-  let n = List.length b.entities in
-  svc.n_evicted <- svc.n_evicted + n;
-  Telemetry.Flight.record Evict ~a:b.id ~b:n ~c:b.last_seen ()
+  svc.n_evicted <- svc.n_evicted + List.length b.entities
 
 let finalise_and_evict svc ~w ~now =
   (match svc.prev_q with
@@ -506,13 +502,21 @@ let finalise_and_evict svc ~w ~now =
   (match (svc.cfg.ttl, now) with
   | Some ttl, Some now when not svc.collapsed ->
     let ttl_eff = max ttl w in
+    let retired = ref 0 and evicted = svc.n_evicted in
     svc.buckets <-
       List.filter
         (fun b ->
           let idle = Session.prev_q b.session <> None && now - b.last_seen > ttl_eff in
-          if idle then retire svc b;
+          if idle then begin
+            retire svc b;
+            incr retired
+          end;
           not idle)
-        svc.buckets
+        svc.buckets;
+    (* One record per pass, not per bucket: a churning fleet retires
+       buckets at the rate entities arrive. *)
+    if !retired > 0 then
+      Telemetry.Flight.record Evict ~a:!retired ~b:(svc.n_evicted - evicted) ~c:now ()
   | _ -> ());
   Telemetry.Metrics.set g_active (float_of_int (TermTbl.length svc.by_entity));
   Telemetry.Metrics.set g_evicted (float_of_int svc.n_evicted)
@@ -566,13 +570,24 @@ let stats svc =
 let process_pass_inner svc ~resolved ~now qs =
   (if qs <> [] && svc.lo = None then svc.lo <- Some (Option.value ~default:0 svc.ev_lo));
   let lo = Option.value ~default:0 svc.lo in
+  let revised = ref 0 and earliest = ref max_int and replayed = ref 0 in
   let work =
     List.filter_map
       (fun b ->
-        let worklist = plan_revision svc b @ qs in
+        let replays =
+          match plan_revision svc b with
+          | None -> []
+          | Some (t, replays) ->
+            incr revised;
+            earliest := min !earliest t;
+            replayed := !replayed + List.length replays;
+            replays
+        in
+        let worklist = replays @ qs in
         if worklist = [] then None else Some (b, worklist))
       (List.rev svc.buckets)
   in
+  if !revised > 0 then Telemetry.Flight.record Revision ~a:!revised ~b:!earliest ~c:!replayed ();
   let work = Array.of_list work in
   let n = Array.length work in
   let outcome =

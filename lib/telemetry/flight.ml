@@ -116,8 +116,8 @@ let events () =
 let operand_names = function
   | Ingest -> ("items", "late", "dropped")
   | Tick -> ("now", "queries", "buckets")
-  | Revision -> ("bucket", "from", "replays")
-  | Evict -> ("bucket", "entities", "last_seen")
+  | Revision -> ("buckets", "from", "replays")
+  | Evict -> ("buckets", "entities", "now")
   | Client_connect | Client_eof -> ("slot", "b", "c")
   | Client_drop -> ("slot", "write_failed", "c")
   | Codec_fallback | Bad_line -> ("bytes", "b", "c")

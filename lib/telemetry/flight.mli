@@ -19,8 +19,12 @@
 type kind =
   | Ingest  (** one evaluator burst: a = items ingested, b = late, c = dropped *)
   | Tick  (** a = now (event time), b = cumulative queries, c = live buckets *)
-  | Revision  (** a = bucket id, b = earliest late time, c = queries to replay *)
-  | Evict  (** a = bucket id, b = entities folded, c = last event time seen *)
+  | Revision
+      (** one pass's revisions: a = buckets revised, b = earliest late
+          time, c = queries replayed, summed over those buckets *)
+  | Evict
+      (** one pass's TTL evictions: a = buckets retired, b = entities
+          evicted, c = now (the pass's event time) *)
   | Client_connect  (** a = client slot *)
   | Client_eof  (** a = client slot *)
   | Client_drop  (** a = client slot, b = 0 read failure / 1 write failure *)
