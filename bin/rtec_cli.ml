@@ -144,8 +144,9 @@ let recognition_flags =
            ~doc:"Worker domains, at most one per core. recognise also groups \
                  the stream's entity components into N buckets (largest \
                  first, each onto the least-loaded bucket) and evaluates them \
-                 in parallel; serve keeps one bucket per component. The \
-                 result is bit-identical to --jobs 1.")
+                 in parallel; serve keeps one bucket per component. With \
+                 --provenance the buckets are evaluated in turn on one domain. \
+                 The result is bit-identical to --jobs 1.")
   in
   let interpret_arg =
     Arg.(value & flag & info [ "interpret" ]
@@ -356,6 +357,10 @@ let serve_cmd =
     Option.iter Telemetry.Flight.arm flight_file;
     if clients < 1 then begin
       Telemetry.Log.error ~src:"serve" "--clients must be positive";
+      exit 2
+    end;
+    if flags.jobs < 1 then begin
+      Telemetry.Log.error ~src:"serve" "--jobs must be positive";
       exit 2
     end;
     Option.iter

@@ -142,7 +142,9 @@ done
 # byte-identical to the interpreter's. The pair runs again with
 # --provenance, whose summary line counts the derivation records: the
 # compiled programs' recorder sinks and rule headers must stay right
-# across bucket switches and trims.
+# across bucket switches and trims. A recording session evaluates on one
+# domain, so the provenance run at -j 2 must print the same bytes as at
+# -j 1, its `%` lines and evicted count included.
 awk 'NR % 2 { held = $0; next } { print; print held } END { if (NR % 2) print held }' \
   "$EXPLAIN_DIR/ds.stream" > "$EXPLAIN_DIR/swapped.stream"
 for prov in "" --provenance; do
@@ -154,6 +156,20 @@ for prov in "" --provenance; do
   cmp "$EXPLAIN_DIR/ticks$prov.out" "$EXPLAIN_DIR/ticks--interpret$prov.out" \
     || { echo "serve smoke: compiled tick snapshots diverge from the interpreter ($prov)"; exit 1; }
 done
+dune exec bin/rtec_cli.exe -- serve "$EXPLAIN_DIR/ds.ed" -k "$EXPLAIN_DIR/ds.kb" \
+  -w 3600 -s 1800 --horizon 1800 --tick-every 1800 --emit ticks --provenance -j 2 \
+  < "$EXPLAIN_DIR/swapped.stream" > "$EXPLAIN_DIR/ticks-j2--provenance.out"
+cmp "$EXPLAIN_DIR/ticks--provenance.out" "$EXPLAIN_DIR/ticks-j2--provenance.out" \
+  || { echo "serve smoke: a recording session at -j 2 differs from -j 1"; exit 1; }
+
+# serve refuses a non-positive -j at start-up with exit 2, as recognise
+# refuses it.
+set +e
+dune exec bin/rtec_cli.exe -- serve "$EXPLAIN_DIR/ds.ed" -k "$EXPLAIN_DIR/ds.kb" -j 0 \
+  < /dev/null > /dev/null 2>&1
+status=$?
+set -e
+[ "$status" -eq 2 ] || { echo "serve smoke: -j 0 should exit 2, got $status"; exit 1; }
 
 # Grouped batch smoke: `recognise -j 4` routes the stream into entity
 # components and evaluates four groups of them; its intervals must be

@@ -24,7 +24,7 @@
    the fact rows whose key argument is the key atom; head and probe fvp
    ids are memoised on the intern ids of the slots they are built from;
    and the recorder's sink and each rule's record header are built once
-   per recorder buffer, not once per rule call.
+   per program, not once per rule call.
 
    The compiler is deliberately partial: any rule shape outside the
    analysed fragment (unbound probe arguments, [=] unification,
@@ -80,9 +80,8 @@ type compiled_rule = {
   cr_first : candidates option;  (* table of a positive first happensAt *)
   cr_bvars : (string * bool) array;  (* bound vars in name order; true = time slot *)
   cr_bslots : int array;  (* slot per binding; [lnot slot] for time slots *)
-  (* The recorder header, valid for [cr_sink] only: label id and the
-     bind array with its keys filled in. *)
-  mutable cr_sink : Derivation.sink option;
+  (* The recorder header, built on the first recorded call: label id
+     ([-1] until then) and the bind array with its keys filled in. *)
   mutable cr_label : int;
   mutable cr_binds : int array;
 }
@@ -94,7 +93,7 @@ type program = {
   p_events : (string * int, candidates) Hashtbl.t;  (* tables the closures read *)
   p_compiled : int;  (* rules compiled to closures *)
   p_fallback : int;  (* transition rules left to the interpreter *)
-  mutable p_sink : Derivation.sink option;  (* the last sink the recorder gave *)
+  mutable p_sink : Derivation.sink option;  (* the program's sink, once recording *)
 }
 
 let intern p = p.p_intern
@@ -782,7 +781,6 @@ let compile_rule intern ~tables ~stream ~knowledge (r : Ast.rule) ~kind ~fluent 
     cr_bslots =
       Array.of_list
         (List.map (fun (v, k) -> if k = `Time then lnot (slot v) else slot v) bindings);
-    cr_sink = None;
     cr_label = -1;
     cr_binds = [||];
   }
@@ -858,17 +856,15 @@ let binding_value cr i =
 
 let recorded cr sk ~label emit =
   let n = Array.length cr.cr_bvars in
-  (match cr.cr_sink with
-  | Some s when s == sk -> ()
-  | _ ->
+  if cr.cr_label < 0 then begin
     let binds = Array.make (2 * n) 0 in
     Array.iteri
       (fun j (v, is_time) ->
-        binds.(2 * j) <- (Derivation.sink_string sk v lsl 1) lor Bool.to_int is_time)
+        binds.(2 * j) <- (Derivation.sink_string v lsl 1) lor Bool.to_int is_time)
       cr.cr_bvars;
-    cr.cr_label <- Derivation.sink_string sk (label ());
-    cr.cr_binds <- binds;
-    cr.cr_sink <- Some sk);
+    cr.cr_label <- Derivation.sink_string (label ());
+    cr.cr_binds <- binds
+  end;
   let rule = cr.cr_label and binds = cr.cr_binds in
   fun id t ->
     emit id t;

@@ -76,14 +76,12 @@ type strings = {
   mutable s_len : int;
 }
 
-let fresh_strings () = { s_ids = Hashtbl.create 64; s_arr = [||]; s_len = 0 }
-
 type buffer = {
   mutable data : int array; (* ring; allocated on first append *)
   mutable head : int; (* offset of the oldest record *)
   mutable used : int; (* words in use *)
-  mutable intern : Intern.t;
-  mutable strs : strings;
+  intern : Intern.t;
+  strs : strings;
   mutable scratch : int array; (* record assembly area *)
   mutable armed : bool; (* current window passed the sampling gate *)
   mutable records : int;
@@ -95,19 +93,20 @@ type buffer = {
 (* Memoised translation from a source intern table (the compiled
    program's) into the buffer's own tables; [-1] marks untranslated. *)
 type sink = {
-  sk_buf : buffer;
   sk_src : Intern.t;
   mutable sk_terms : int array;
   mutable sk_fvps : int array;
 }
 
-let fresh () =
+(* The one buffer. It is written by one domain at a time: a recording
+   [Runtime.Service] evaluates its buckets on the calling domain. *)
+let global =
   {
     data = [||];
     head = 0;
     used = 0;
     intern = Intern.create ();
-    strs = fresh_strings ();
+    strs = { s_ids = Hashtbl.create 64; s_arr = [||]; s_len = 0 };
     scratch = Array.make 64 0;
     armed = true;
     records = 0;
@@ -116,11 +115,7 @@ let fresh () =
     skipped = 0;
   }
 
-let global = fresh ()
-let global_mutex = Mutex.create ()
-let local_key : buffer option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-let current () = match Domain.DLS.get local_key with Some b -> b | None -> global
-let recording () = !on && (current ()).armed
+let recording () = !on && global.armed
 
 (* Keeps the ring allocation and intern tables: the tables are
    append-only (old ids stay valid, unreferenced entries are inert, and
@@ -206,20 +201,16 @@ let[@inline] reserve b n =
   end
   else reserve_slow b n
 
-(* Append the first [n] words of [src] as one record. [count] is off
-   when a merge transfers a record already counted by its worker
-   buffer. *)
-let append_gen ~count b src n =
+(* Append the first [n] words of [src] as one record. *)
+let append b src n =
   let base = reserve b n in
   if base >= 0 then begin
     let cap = Array.length b.data in
     let first = min n (cap - base) in
     Array.blit src 0 b.data base first;
     if first < n then Array.blit src first b.data 0 (n - first);
-    if count then b.records <- b.records + 1
+    b.records <- b.records + 1
   end
-
-let append b src n = append_gen ~count:true b src n
 
 (* --- interning helpers --- *)
 
@@ -251,7 +242,7 @@ let sort_binds binds = List.stable_sort (fun (a, _) (b, _) -> String.compare a b
 
 let record_query ~q ~eval_from ~window_start =
   if !on then begin
-    let b = current () in
+    let b = global in
     if sample_window q then begin
       b.armed <- true;
       b.sampled <- b.sampled + 1;
@@ -277,7 +268,7 @@ let put_binds b s off binds =
 
 let record_transition ~kind ~rule ~fluent ~value ~time ~binds =
   if !on then begin
-    let b = current () in
+    let b = global in
     if b.armed then begin
       let binds = sort_binds binds in
       let n = List.length binds in
@@ -296,7 +287,7 @@ let record_transition ~kind ~rule ~fluent ~value ~time ~binds =
 
 let record_pattern ~rule ~pattern ~fluent ~value ~time =
   if !on then begin
-    let b = current () in
+    let b = global in
     if b.armed then begin
       let s = ensure_scratch b 6 in
       s.(0) <- (6 lsl 3) lor 2;
@@ -311,7 +302,7 @@ let record_pattern ~rule ~pattern ~fluent ~value ~time =
 
 let record_carry ~origin ~fluent ~value ~time =
   if !on then begin
-    let b = current () in
+    let b = global in
     if b.armed then begin
       let s = ensure_scratch b 5 in
       s.(0) <- (5 lsl 3) lor 3;
@@ -332,7 +323,7 @@ let put_spans s off spans =
 
 let record_input ~fluent ~value ~spans =
   if !on then begin
-    let b = current () in
+    let b = global in
     if b.armed then begin
       let n = List.length spans in
       let len = 3 + (2 * n) in
@@ -347,7 +338,7 @@ let record_input ~fluent ~value ~spans =
 
 let record_derived ~fluent ~value ~rule ~spans ~binds ~steps =
   if !on then begin
-    let b = current () in
+    let b = global in
     if b.armed then begin
       let binds = sort_binds binds in
       let nb = List.length binds in
@@ -382,17 +373,13 @@ let record_derived ~fluent ~value ~rule ~spans ~binds ~steps =
 (* --- compiled-path sink --- *)
 
 let sink ?reuse ~intern () =
-  if not !on then None
-  else begin
-    let b = current () in
-    if not b.armed then None
-    else
-      match reuse with
-      | Some sk when sk.sk_buf == b && sk.sk_src == intern -> reuse
-      | _ -> Some { sk_buf = b; sk_src = intern; sk_terms = [||]; sk_fvps = [||] }
-  end
+  if not (recording ()) then None
+  else
+    match reuse with
+    | Some sk when sk.sk_src == intern -> reuse
+    | _ -> Some { sk_src = intern; sk_terms = [||]; sk_fvps = [||] }
 
-let sink_string sk s = str_id sk.sk_buf s
+let sink_string s = str_id global s
 
 let grow_memo a n =
   let m = Array.make (max n (max 64 (2 * Array.length a))) (-1) in
@@ -404,7 +391,7 @@ let sink_term sk id =
   let v = sk.sk_terms.(id) in
   if v >= 0 then v
   else begin
-    let v = Intern.id_of_term sk.sk_buf.intern (Intern.term_of_id sk.sk_src id) in
+    let v = Intern.id_of_term global.intern (Intern.term_of_id sk.sk_src id) in
     sk.sk_terms.(id) <- v;
     v
   end
@@ -416,60 +403,30 @@ let sink_fvp sk id =
   else begin
     let fluent = sink_term sk (Intern.fvp_fluent_id sk.sk_src id) in
     let value = sink_term sk (Intern.fvp_value_id sk.sk_src id) in
-    let v = Intern.fvp_id sk.sk_buf.intern ~fluent ~value in
+    let v = Intern.fvp_id global.intern ~fluent ~value in
     sk.sk_fvps.(id) <- v;
     v
   end
 
-(* The compiled sink is the recorder's hot path — one call per emitted
-   transition — so it writes its words straight into the ring instead
-   of staging them in scratch and blitting. *)
+(* Stages a tag-1 record from compiled ids, as [record_transition] does
+   from terms. *)
 let sink_transition_ids sk ~kind ~rule ~fvp ~time ~binds =
-  let b = sk.sk_buf in
+  let b = global in
   let n = Array.length binds / 2 in
   let len = 6 + (2 * n) in
-  let base = reserve b len in
-  if base >= 0 then begin
-    b.records <- b.records + 1;
-    let data = b.data in
-    let cap = Array.length data in
-    if base + len <= cap then begin
-      (* in-line record: every index is provably inside the ring, so
-         the writes are straight-line and unchecked *)
-      Array.unsafe_set data base ((len lsl 3) lor 1);
-      Array.unsafe_set data (base + 1) (kind_bit kind);
-      Array.unsafe_set data (base + 2) (sink_fvp sk fvp);
-      Array.unsafe_set data (base + 3) time;
-      Array.unsafe_set data (base + 4) rule;
-      Array.unsafe_set data (base + 5) n;
-      let off = base + 6 in
-      for i = 0 to n - 1 do
-        let key = Array.unsafe_get binds (2 * i) in
-        let v = Array.unsafe_get binds ((2 * i) + 1) in
-        Array.unsafe_set data (off + (2 * i)) key;
-        Array.unsafe_set data
-          (off + (2 * i) + 1)
-          (if key land 1 = 1 then v else sink_term sk v)
-      done
-    end
-    else begin
-      (* the record wraps the ring end: rare, mod-indexed *)
-      let put i v = data.((base + i) mod cap) <- v in
-      put 0 ((len lsl 3) lor 1);
-      put 1 (kind_bit kind);
-      put 2 (sink_fvp sk fvp);
-      put 3 time;
-      put 4 rule;
-      put 5 n;
-      for i = 0 to n - 1 do
-        let key = binds.(2 * i) in
-        put (6 + (2 * i)) key;
-        put
-          (6 + (2 * i) + 1)
-          (if key land 1 = 1 then binds.((2 * i) + 1) else sink_term sk binds.((2 * i) + 1))
-      done
-    end
-  end
+  let s = ensure_scratch b len in
+  s.(0) <- (len lsl 3) lor 1;
+  s.(1) <- kind_bit kind;
+  s.(2) <- sink_fvp sk fvp;
+  s.(3) <- time;
+  s.(4) <- rule;
+  s.(5) <- n;
+  for i = 0 to n - 1 do
+    let key = binds.(2 * i) and v = binds.((2 * i) + 1) in
+    s.(6 + (2 * i)) <- key;
+    s.(6 + (2 * i) + 1) <- (if key land 1 = 1 then v else sink_term sk v)
+  done;
+  append b s len
 
 (* --- reading back --- *)
 
@@ -651,94 +608,3 @@ let publish_metrics () =
 let reset () =
   clear global;
   reset_published ()
-
-(* --- worker buffers --- *)
-
-(* Transfers every record of [l] into the global ring, translating
-   buffer-local term/FVP/string ids through memo tables. Counters move
-   over wholesale: [records] already counted each append locally. *)
-let merge_local l =
-  Mutex.protect global_mutex (fun () ->
-      let xterm =
-        let memo = Array.make (max 1 (Intern.term_count l.intern)) (-1) in
-        fun id ->
-          if memo.(id) >= 0 then memo.(id)
-          else begin
-            let v = Intern.id_of_term global.intern (Intern.term_of_id l.intern id) in
-            memo.(id) <- v;
-            v
-          end
-      in
-      let xfvp =
-        let memo = Array.make (max 1 (Intern.fvp_count l.intern)) (-1) in
-        fun id ->
-          if memo.(id) >= 0 then memo.(id)
-          else begin
-            let fluent = xterm (Intern.fvp_fluent_id l.intern id) in
-            let value = xterm (Intern.fvp_value_id l.intern id) in
-            let v = Intern.fvp_id global.intern ~fluent ~value in
-            memo.(id) <- v;
-            v
-          end
-      in
-      let xstr =
-        let memo = Array.make (max 1 l.strs.s_len) (-1) in
-        fun i ->
-          if memo.(i) >= 0 then memo.(i)
-          else begin
-            let v = str_id global l.strs.s_arr.(i) in
-            memo.(i) <- v;
-            v
-          end
-      in
-      let xkey k = (xstr (k lsr 1) lsl 1) lor (k land 1) in
-      iter_records l (fun ~get ~tag ~len ->
-          let s = ensure_scratch global len in
-          for i = 0 to len - 1 do
-            s.(i) <- get i
-          done;
-          (match tag with
-           | 0 -> ()
-           | 1 ->
-             s.(2) <- xfvp s.(2);
-             s.(4) <- xstr s.(4);
-             for i = 0 to s.(5) - 1 do
-               let k = s.(6 + (2 * i)) in
-               s.(6 + (2 * i)) <- xkey k;
-               if k land 1 = 0 then s.(6 + (2 * i) + 1) <- xterm s.(6 + (2 * i) + 1)
-             done
-           | 2 ->
-             s.(2) <- xfvp s.(2);
-             s.(4) <- xstr s.(4);
-             s.(5) <- xterm s.(5)
-           | 3 ->
-             s.(2) <- xfvp s.(2);
-             s.(4) <- xstr s.(4)
-           | 4 ->
-             s.(1) <- xfvp s.(1);
-             s.(2) <- xstr s.(2);
-             for i = 0 to s.(3) - 1 do
-               let k = s.(4 + (2 * i)) in
-               s.(4 + (2 * i)) <- xkey k;
-               if k land 1 = 0 then s.(4 + (2 * i) + 1) <- xterm s.(4 + (2 * i) + 1)
-             done
-           | 5 -> s.(1) <- xfvp s.(1)
-           | _ -> assert false);
-          append_gen ~count:false global s len);
-      global.records <- global.records + l.records;
-      global.evicted <- global.evicted + l.evicted;
-      global.sampled <- global.sampled + l.sampled;
-      global.skipped <- global.skipped + l.skipped)
-
-let with_local f =
-  let prev = Domain.DLS.get local_key in
-  let l = fresh () in
-  Domain.DLS.set local_key (Some l);
-  Fun.protect
-    ~finally:(fun () ->
-      Domain.DLS.set local_key prev;
-      merge_local l;
-      (* A sink kept by a compiled program may still point here; it is
-         stale, and must not pin the ring. *)
-      l.data <- [||])
-    f

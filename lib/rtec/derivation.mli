@@ -4,7 +4,7 @@
     derived transition (initiation/termination of a simple fluent), per
     accepted [holdsFor] solution of a statically determined fluent, per
     carried interval and per window query — rule labels, variable names
-    and terms are interned into per-buffer tables ({!Intern} for terms
+    and terms are interned into the buffer's tables ({!Intern} for terms
     and fluent-value pairs, a private string table for labels), so a
     record is a handful of machine words and recording never builds a
     string or a proof tree. Proof trees — the grounded per-condition
@@ -17,14 +17,15 @@
     bounded no matter how long the recorder stays on. {!set_sampling}
     additionally restricts recording to 1-in-N windows or to an
     arbitrary window predicate; the decision is a pure function of the
-    query time, so every shard of a sharded run keeps the same windows.
+    query time, so every bucket of a grouped run keeps the same windows.
 
     The recorder follows the [Telemetry] discipline: a single [bool]
     gate, a strict no-op when disabled, and recognition output is
-    bit-identical either way. Buffers are per-domain: the main domain
-    records into a process-global buffer; worker domains record into a
-    private buffer inside {!with_local} that is re-encoded into the
-    global one (translating buffer-local ids) exactly at join. *)
+    bit-identical either way. There is one process-global buffer, and
+    only one domain writes it: while the recorder is on,
+    [Runtime.Service] evaluates every bucket on the calling domain, in
+    the pass's order, so the same buckets append the same records in the
+    same order on every run, at every [jobs]. *)
 
 (** {1 Reconstructed views}
 
@@ -81,17 +82,17 @@ val recording : unit -> bool
     mode — the cheap guard recording sites test. *)
 
 val reset : unit -> unit
-(** Empties the global ring and zeroes all counters. The ring
+(** Empties the ring and zeroes all counters. The ring
     allocation and intern tables are retained — interned ids are
     append-only, so reuse is safe and avoids rebuilding the
     vocabulary when recording is cycled around every run. *)
 
 val set_capacity : int -> unit
-(** Ring capacity in machine words per buffer (default [2^20], i.e.
-    8 MiB); applies to buffers created or reset afterwards. *)
+(** Ring capacity in machine words (default [2^20], i.e. 8 MiB); takes
+    effect at the next {!reset}. *)
 
 (** Which windows to record. The decision is a pure function of the
-    query time [q], so shards agree on it without coordination. *)
+    query time [q], so buckets agree on it without coordination. *)
 type sampling =
   | Always
   | One_in of { n : int; seed : int }
@@ -153,16 +154,14 @@ type sink
 val sink : ?reuse:sink -> intern:Intern.t -> unit -> sink option
 (** [None] unless {!recording} — callers skip all bookkeeping then.
     Otherwise [reuse], a sink an earlier call returned, comes back as it
-    is while it is still valid: made for [intern] and for the buffer
-    recording now. A fresh sink starts with an empty memo. The caller
-    owns the sink: a compiled program keeps its own and passes it back
-    on every query, so its memo is built once per buffer — at jobs 1
-    that is the global buffer, for the whole session; a worker domain
-    records into a fresh buffer on every pass, and needs a fresh sink
-    there. {!reset} keeps a sink valid. *)
+    is when it was made for [intern]. A fresh sink starts with an empty
+    memo. The caller owns the sink: a compiled program keeps its own and
+    passes it back on every query, so its memo is built once for the
+    program's life. {!reset} keeps a sink valid. *)
 
-val sink_string : sink -> string -> int
-(** Intern a rule label or variable name into the buffer. *)
+val sink_string : string -> int
+(** Intern a rule label or variable name into the buffer. The id stays
+    valid for the process's life, across {!reset}. *)
 
 val sink_transition_ids :
   sink ->
@@ -183,8 +182,7 @@ val sink_transition_ids :
 (** {1 Reading back} *)
 
 val events : ?rules:(string * Ast.rule) list -> unit -> event list
-(** Decode the retained records, in record order (worker batches appear
-    after the main domain's records, each batch internally ordered).
+(** Decode the retained records, oldest first, in append order.
     With [rules] (a label-indexed rule catalogue, see
     [Engine.labelled_rules]), per-condition {!step} trails are
     reconstructed by applying the stored substitution to the rule
@@ -195,7 +193,7 @@ type stats = {
   evicted : int;  (** records evicted by ring wrap-around *)
   windows_sampled : int;
   windows_skipped : int;  (** windows rejected by the sampling mode *)
-  retained_words : int;  (** words currently held in the global ring *)
+  retained_words : int;  (** words currently held in the ring *)
 }
 
 val stats : unit -> stats
@@ -205,7 +203,3 @@ val publish_metrics : unit -> unit
     registry ([derivation.records], [derivation.evicted],
     [derivation.windows.sampled], [derivation.windows.skipped],
     [derivation.retained_bytes]); a no-op while metrics are disabled. *)
-
-val with_local : (unit -> 'a) -> 'a
-(** Runs [f] with a fresh per-domain buffer, re-encoded into the global
-    buffer when [f] returns (or raises). *)

@@ -18,21 +18,21 @@ module Cache = struct
   (* Maximal intervals of every ground FVP computed so far: the engine's
      bottom-up cache, keyed by interned FVP id so lookups are a single
      int-keyed hashtable probe instead of structural term hashing. Each
-     indicator keeps its FVP ids in insertion order for deterministic
-     enumeration (the compiled and interpreted paths perform the same
-     [add] sequence, so result order is identical either way). *)
+     indicator keeps its FVP ids in insertion order, and the indicators
+     are kept in first-insertion order, for deterministic enumeration
+     (the compiled and interpreted paths perform the same [add]
+     sequence, so result order is identical either way). *)
 
   type t = {
     intern : Intern.t;
     spans : (int, Interval.t) Hashtbl.t;  (* fvp id -> intervals *)
     by_indicator : (string * int, int list ref) Hashtbl.t;  (* reverse insertion order *)
+    mutable order : int list ref list;  (* [by_indicator]'s lists, newest indicator first *)
   }
 
   let create ?intern () =
     let intern = match intern with Some i -> i | None -> Intern.create () in
-    (* [to_result] folds [by_indicator], so its initial size fixes the
-       result order; the span table grows as far as the query needs. *)
-    { intern; spans = Hashtbl.create 16; by_indicator = Hashtbl.create 64 }
+    { intern; spans = Hashtbl.create 16; by_indicator = Hashtbl.create 8; order = [] }
 
   let intern t = t.intern
 
@@ -49,7 +49,10 @@ module Cache = struct
     | None ->
       Hashtbl.replace t.spans id spans;
       (match Hashtbl.find_opt t.by_indicator ind with
-      | None -> Hashtbl.replace t.by_indicator ind (ref [ id ])
+      | None ->
+        let r = ref [ id ] in
+        Hashtbl.replace t.by_indicator ind r;
+        t.order <- r :: t.order
       | Some r -> r := id :: !r)
     | Some old -> Hashtbl.replace t.spans id (Interval.union old spans)
 
@@ -70,8 +73,15 @@ module Cache = struct
     Telemetry.Metrics.incr (match found with Some _ -> m_cache_hit | None -> m_cache_miss);
     found
 
+  (* Indicators in first-insertion order, each one's entries in
+     insertion order. *)
   let to_result t =
-    Hashtbl.fold (fun _ r acc -> List.rev_append (entries_of t !r) acc) t.by_indicator []
+    List.fold_left
+      (fun acc r ->
+        List.fold_left
+          (fun acc id -> (Intern.fvp_terms t.intern id, Hashtbl.find t.spans id) :: acc)
+          acc !r)
+      [] t.order
 end
 
 type env = {

@@ -42,26 +42,31 @@ type t = {
 
 and repr = Packed of packed | Pending of { base : t; tail : event array }
 
+module FvpTbl = Hashtbl.Make (struct
+  type t = Term.t * Term.t
+
+  let equal (f1, v1) (f2, v2) = Term.equal f1 f2 && Term.equal v1 v2
+  let hash = Hashtbl.hash
+end)
+
 (* Duplicate (fluent, value) keys are unioned rather than concatenated, so
    downstream consumers see one entry per FVP; first-occurrence order is
-   preserved. *)
+   preserved. Keys compare as terms: two terms that print alike (reals
+   past six digits, an atom and an integer) stay apart. *)
 let dedup_input_fluents input_fluents =
   match input_fluents with
   | [] | [ _ ] -> input_fluents
   | _ ->
-    let order = ref [] and tbl = Hashtbl.create 16 in
+    let order = ref [] and tbl = FvpTbl.create 16 in
     List.iter
-      (fun (((f, v) as fv), spans) ->
-        let key = (Term.to_string f, Term.to_string v) in
-        match Hashtbl.find_opt tbl key with
+      (fun (fv, spans) ->
+        match FvpTbl.find_opt tbl fv with
         | None ->
           order := fv :: !order;
-          Hashtbl.replace tbl key (fv, spans)
-        | Some (fv0, spans0) -> Hashtbl.replace tbl key (fv0, Interval.union spans0 spans))
+          FvpTbl.replace tbl fv spans
+        | Some spans0 -> FvpTbl.replace tbl fv (Interval.union spans0 spans))
       input_fluents;
-    List.rev_map
-      (fun (f, v) -> Hashtbl.find tbl (Term.to_string f, Term.to_string v))
-      !order
+    List.rev_map (fun fv -> (fv, FvpTbl.find tbl fv)) !order
 
 (* Stable merge of two time-sorted event arrays; elements of [a] precede
    equal-time elements of [b]. The common streaming case — the tail

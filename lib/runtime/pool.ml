@@ -7,13 +7,13 @@
    domains ever write the same location. *)
 
 (* The domain-safe telemetry bracket every parallel section of this repo
-   needs: worker metrics and derivation records accumulate locally and
-   merge into the process-wide state at join, spans land on the worker's
-   own track. It brackets the whole domain, not each task: accumulators
-   are per-domain, not per-shard. *)
+   needs: worker metrics accumulate locally and merge into the
+   process-wide registry at join, spans land on the worker's own track.
+   It brackets the whole domain, not each task: accumulators are
+   per-domain, not per-shard. The derivation recorder has no per-domain
+   buffer; a recording caller does not fan out. *)
 let bracket ~worker thunk =
-  Telemetry.Metrics.with_local (fun () ->
-      Telemetry.Trace.with_local ~tid:worker (fun () -> Rtec.Derivation.with_local thunk))
+  Telemetry.Metrics.with_local (fun () -> Telemetry.Trace.with_local ~tid:worker thunk)
 
 let map ~jobs f items =
   let n = Array.length items in

@@ -15,8 +15,8 @@ let m_runs = Telemetry.Metrics.counter "runtime.runs"
    one pass. The service evaluates each bucket with [Window.Session],
    the code every query goes through, and merges the per-bucket
    interval maps in the canonical fluent-value order, so the batch
-   differential guarantees (grouped == sequential, exact
-   telemetry/provenance merge at join) carry over by construction. *)
+   differential guarantees (grouped == sequential, exact telemetry
+   merge at join) carry over by construction. *)
 let run ~config:(config : config) ~event_description ~knowledge ~stream () =
   if config.jobs < 1 then Result.Error "jobs must be positive"
   else begin

@@ -14,7 +14,9 @@
     Worker domains run with per-domain telemetry accumulators
     ({!Telemetry.Metrics.with_local}, {!Telemetry.Trace.with_local}):
     metrics are merged exactly into the process registry when each worker
-    joins, and spans are tagged with the worker id as their track. *)
+    joins, and spans are tagged with the worker id as their track. While
+    the derivation recorder is on, the buckets are evaluated in turn on
+    the calling domain, so the records are the same on every run. *)
 
 module Service = Service
 (** Long-lived streaming recognition sessions: [Service.create ~config],
@@ -29,11 +31,13 @@ module Pool : sig
       calling domain works too). Tasks are pulled from a shared atomic
       index; [f] receives the item index and the item, and the result
       array preserves item order regardless of scheduling. Each worker
-      domain runs under {!Telemetry.Metrics.with_local},
-      {!Telemetry.Trace.with_local} (with the worker id as its track) and
-      {!Rtec.Derivation.with_local}, so counters and derivation records
-      produced by [f] merge exactly into the process-wide state at join
-      and spans land on the worker's own track. *)
+      domain runs under {!Telemetry.Metrics.with_local} and
+      {!Telemetry.Trace.with_local} (with the worker id as its track),
+      so counters produced by [f] merge exactly into the process-wide
+      registry at join and spans land on the worker's own track. The
+      derivation recorder ({!Rtec.Derivation}) keeps one buffer that
+      only one domain may write: [f] must not record, so
+      {!Service} does not fan out while the recorder is on. *)
 end
 
 module Server = Server

@@ -595,8 +595,14 @@ let process_pass_inner svc ~resolved ~now qs =
     else begin
       (* [jobs] bounds the fan-out; domains beyond the host's cores
          never help in OCaml 5 (every minor collection synchronises all
-         domains), so surplus buckets share the granted domains. *)
-      let effective_jobs = min svc.cfg.jobs (Domain.recommended_domain_count ()) in
+         domains), so surplus buckets share the granted domains. The
+         derivation recorder keeps one buffer: while it is on, the
+         buckets run here, in the pass's order, so the same buckets
+         record the same sequence at every [jobs]. *)
+      let effective_jobs =
+        if Rtec.Derivation.is_enabled () then 1
+        else min svc.cfg.jobs (Domain.recommended_domain_count ())
+      in
       let use_pool = n > 1 && effective_jobs > 1 in
       let jobs = if use_pool then min effective_jobs n else 1 in
       svc.last_jobs <- jobs;

@@ -52,8 +52,10 @@ type config = {
       (** upper bound on worker-domain fan-out per pass, further capped
           at [Domain.recommended_domain_count ()]: domains beyond the
           host's cores never help in OCaml 5, so surplus buckets share
-          the granted domains. [Runtime.run] also groups the stream's
-          entity components into this many buckets ({!seed}). *)
+          the granted domains. While the derivation recorder is on, a
+          pass runs on the calling domain alone ([stats.jobs] is [1]).
+          [Runtime.run] also groups the stream's entity components into
+          this many buckets ({!seed}). *)
   compile : bool;
       (** compile rule programs per bucket ({!Rtec.Compiled}); [false]
           forces the interpreter — the differential oracle, with

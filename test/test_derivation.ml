@@ -1,9 +1,10 @@
 (* The compact derivation recorder itself: bounded ring-buffer
    wrap-around (oldest records evicted, survivors still decodable, in
    order), deterministic window sampling under fixed seeds (the decision
-   is a pure function of (seed, q), so repeated runs — and every shard
-   of a sharded run — agree), and the exact per-shard merge of compact
-   records at the Runtime join. *)
+   is a pure function of (seed, q), so repeated runs — and every bucket
+   of a grouped run — agree), grouped batch runs that record exactly the
+   sequential run's records, and a recorded session whose ring holds the
+   same records in the same order at every [jobs]. *)
 
 open Rtec
 
@@ -136,7 +137,7 @@ let test_sampling_determinism () =
     (par_total mod per_window = 0
     && rec4.Derivation.windows_sampled = par_total / per_window * rec1.Derivation.windows_sampled)
 
-(* --- exact shard merge --- *)
+(* --- grouped runs --- *)
 
 let recorded_events ~jobs ~event_description ~knowledge ~stream () =
   scoped (fun () ->
@@ -146,7 +147,7 @@ let recorded_events ~jobs ~event_description ~knowledge ~stream () =
       | Error e -> Alcotest.failf "run failed: %s" e
       | Ok _ -> Derivation.events ())
 
-let shard_merge_exact ~event_description ~knowledge ~stream () =
+let grouped_exact ~event_description ~knowledge ~stream () =
   let seq = recorded_events ~jobs:1 ~event_description ~knowledge ~stream () in
   let par = recorded_events ~jobs:4 ~event_description ~knowledge ~stream () in
   let queries evs =
@@ -157,22 +158,77 @@ let shard_merge_exact ~event_description ~knowledge ~stream () =
     |> List.sort compare
   in
   Alcotest.(check bool) "sequential run recorded" true (seq <> []);
-  (* Entity-disjoint shards derive disjoint records; the id-translating
-     merge at join must reassemble exactly the sequential multiset. *)
-  Alcotest.(check bool) "identical merged records" true (strip seq = strip par);
-  (* every shard walks the full query grid, stamping its own markers *)
-  Alcotest.(check bool) "per-shard query markers" true
+  (* Entity-disjoint buckets derive disjoint records; evaluated in turn,
+     they must record exactly the sequential multiset. *)
+  Alcotest.(check bool) "identical grouped records" true (strip seq = strip par);
+  (* every bucket walks the full query grid, stamping its own markers *)
+  Alcotest.(check bool) "per-bucket query markers" true
     (queries seq > 0 && queries par mod queries seq = 0 && queries par >= queries seq)
 
-let test_shard_merge_maritime () =
+let test_grouped_maritime () =
   let d = Lazy.force maritime_dataset in
-  shard_merge_exact ~event_description:Maritime.Gold.event_description
+  grouped_exact ~event_description:Maritime.Gold.event_description
     ~knowledge:d.Maritime.Dataset.knowledge ~stream:d.Maritime.Dataset.stream ()
 
-let test_shard_merge_fleet () =
+let test_grouped_fleet () =
   let stream, knowledge = Lazy.force fleet_data in
-  shard_merge_exact ~event_description:(Domain.event_description Fleet.domain) ~knowledge
+  grouped_exact ~event_description:(Domain.event_description Fleet.domain) ~knowledge
     ~stream ()
+
+(* --- one buffer --- *)
+
+(* A served session over the maritime items: input fluents first, then
+   the events in time order, a tick every 1800 time-points and a drain,
+   with a ring small enough to evict. *)
+let recorded_session ~jobs =
+  let d = Lazy.force maritime_dataset in
+  let stream = d.Maritime.Dataset.stream in
+  scoped (fun () ->
+      Derivation.set_capacity 4096;
+      Derivation.reset ();
+      Derivation.enable ();
+      let svc =
+        Runtime.Service.create
+          ~config:(Runtime.Service.config ~window:3600 ~step:1800 ~jobs ())
+          ~event_description:Maritime.Gold.event_description
+          ~knowledge:d.Maritime.Dataset.knowledge ()
+      in
+      let ok what = function
+        | Ok (r : Runtime.Service.result) -> r
+        | Error e -> Alcotest.failf "%s failed: %s" what e
+      in
+      Runtime.Service.ingest svc
+        (List.map (fun (fv, spans) -> Stream.Fluent (fv, spans)) (Stream.input_fluents stream));
+      let next = ref (fst (Stream.extent stream) + 1800) and batch = ref [] in
+      let flush () =
+        Runtime.Service.ingest svc (List.rev !batch);
+        batch := []
+      in
+      List.iter
+        (fun (e : Stream.event) ->
+          if e.time > !next then begin
+            flush ();
+            while e.time > !next do
+              ignore (ok "tick" (Runtime.Service.tick svc ~now:!next));
+              next := !next + 1800
+            done
+          end;
+          batch := Stream.Event e :: !batch)
+        (Stream.events stream);
+      flush ();
+      let r = ok "drain" (Runtime.Service.drain svc) in
+      (r.stats, Derivation.stats (), Derivation.events ()))
+
+let test_session_every_jobs () =
+  let stats1, rec1, evs1 = recorded_session ~jobs:1 in
+  let stats4, rec4, evs4 = recorded_session ~jobs:4 in
+  Alcotest.(check bool) "several buckets" true (stats4.Runtime.Service.buckets > 1);
+  Alcotest.(check bool) "the ring evicted" true (rec1.Derivation.evicted > 0);
+  Alcotest.(check bool) "the same recorder stats" true (rec1 = rec4);
+  Alcotest.(check int) "as many retained records" (List.length evs1) (List.length evs4);
+  Alcotest.(check bool) "the same records, in order" true (evs1 = evs4);
+  Alcotest.(check int) "jobs 1 on one domain" 1 stats1.Runtime.Service.jobs;
+  Alcotest.(check int) "jobs 4 on one domain too" 1 stats4.Runtime.Service.jobs
 
 let suite =
   [
@@ -180,6 +236,8 @@ let suite =
     Alcotest.test_case "oversized record is dropped" `Quick test_oversized_record_dropped;
     Alcotest.test_case "sampling is deterministic under a fixed seed" `Slow
       test_sampling_determinism;
-    Alcotest.test_case "shard merge is exact (maritime)" `Slow test_shard_merge_maritime;
-    Alcotest.test_case "shard merge is exact (fleet)" `Slow test_shard_merge_fleet;
+    Alcotest.test_case "grouped records are exact (maritime)" `Slow test_grouped_maritime;
+    Alcotest.test_case "grouped records are exact (fleet)" `Slow test_grouped_fleet;
+    Alcotest.test_case "a recorded session is the same at every -j" `Slow
+      test_session_every_jobs;
   ]

@@ -32,9 +32,9 @@ let maritime_dataset =
 let fleet_data = lazy (Fleet.generate ())
 
 (* The par variants run four entity groups: [jobs] sets the group count
-   directly, so the grouping/merge (and per-bucket derivation
-   accumulation) is exercised on any host, even where the domain clamp
-   serialises the groups. *)
+   directly, so the grouping and the per-bucket interval merge are
+   exercised on any host. A recording run evaluates the groups in turn
+   on one domain. *)
 let differential ~jobs ~event_description ~knowledge ~stream () =
   scoped (fun () ->
       let config = Runtime.config ~window:3600 ~step:1800 ~jobs () in

@@ -77,6 +77,39 @@ let test_input_fluent_dedup () =
       (Interval.to_list spans)
   | l -> Alcotest.failf "expected one input fluent, got %d" (List.length l)
 
+(* Two fluents that print alike ([Term.pp] keeps six significant digits
+   of a real, and prints an atom without quotes) are still two keys. *)
+let test_input_fluent_dedup_exact () =
+  let src =
+    "holdsFor(speed(v1, 1.2345671) = true, [[0, 10]]).\n\
+     holdsFor(speed(v1, 1.2345672) = true, [[20, 30]]).\n"
+  in
+  let spans_of s =
+    List.map (fun (_, sp) -> Interval.to_list sp) (Stream.input_fluents s)
+  in
+  let two = [ [ (0, 10) ]; [ (20, 30) ] ] in
+  let fluents =
+    List.filter_map (function Stream.Fluent (fv, sp) -> Some (fv, sp) | Event _ -> None)
+      (Io.items_of_string src)
+  in
+  Alcotest.(check int) "read as two fluents" 2 (List.length fluents);
+  Alcotest.(check (list (list (pair int int)))) "of_items keeps both" two
+    (spans_of (Stream.of_items (Io.items_of_string src)));
+  Alcotest.(check (list (list (pair int int)))) "make keeps both" two
+    (spans_of (Stream.make ~input_fluents:fluents []));
+  Alcotest.(check (list (list (pair int int)))) "append_items keeps both" two
+    (spans_of (Stream.append_items (Stream.make []) ~input_fluents:fluents [||]));
+  let fv v = (Term.app "level" [ Term.Atom "v1"; v ], Term.Atom "true") in
+  Alcotest.(check (list (list (pair int int)))) "an atom is not an integer" two
+    (spans_of
+       (Stream.make
+          ~input_fluents:
+            [
+              (fv (Term.Atom "1"), Interval.of_list [ (0, 10) ]);
+              (fv (Term.Int 1), Interval.of_list [ (20, 30) ]);
+            ]
+          []))
+
 let test_events_sorted () =
   let shuffled = Stream.make [ ev 30 "e(a)"; ev 10 "e(b)"; ev 20 "e(c)" ] in
   let times = List.map (fun (e : Stream.event) -> e.time) (Stream.events shuffled) in
@@ -310,6 +343,8 @@ let suite =
     Alcotest.test_case "events_in boundaries" `Quick test_events_in_boundaries;
     Alcotest.test_case "count_in binary search" `Quick test_count_in;
     Alcotest.test_case "input fluents deduplicated" `Quick test_input_fluent_dedup;
+    Alcotest.test_case "input fluents that print alike stay apart" `Quick
+      test_input_fluent_dedup_exact;
     Alcotest.test_case "events_at" `Quick test_events_at;
     Alcotest.test_case "indicators and append" `Quick test_indicators_and_append;
     Alcotest.test_case "events come out sorted" `Quick test_events_sorted;
